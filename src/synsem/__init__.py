@@ -12,6 +12,7 @@ from .alignment import (
     OverlapScore,
     SentenceAlignment,
     StatReport,
+    StatsAccumulator,
     aggregate_stats,
     align_sentence,
     confusion_matrix,
@@ -39,12 +40,16 @@ from .model import (
 from .normalization import normalize, top_category_index
 from .treebanks import (
     ParseError,
+    SentencePairs,
     UCCAGraph,
     UDTree,
+    iter_conllu,
+    iter_ucca_json,
     pair_sentences,
     parse_conllu,
     parse_ucca_json,
     read_unified,
+    unified_line,
     write_unified,
 )
 from .ud_conversion import (

@@ -266,13 +266,9 @@ def _scene_yields(dag: UnifiedDAG) -> set[frozenset[int]]:
     return scenes
 
 
-def aggregate_stats(
-    alignments: Iterable[SentenceAlignment],
-    ud_dags: Iterable[UnifiedDAG],
-    ucca_dags: Iterable[UnifiedDAG],
-    inventory: RelationInventory = DEFAULT_INVENTORY,
-) -> StatReport:
-    """Divergence statistics over a corpus of aligned sentence pairs.
+@dataclass
+class StatsAccumulator:
+    """Raw counts behind StatReport, folded one aligned sentence at a time.
 
     Participant shares follow the matched triples directly. A predicate is
     a unit with at least one argument-labeled child; a scene is a unit with
@@ -280,62 +276,91 @@ def aggregate_stats(
     yield is matched in the alignment and contains the predicate's head
     word(s).
     """
-    arg_total = arg_to_a = 0
-    a_total = a_to_arg = 0
-    pred_total = pred_matched = 0
-    scene_total = scene_matched = 0
-    head_total = head_semantic = head_unmatched = 0
 
-    for alignment, ud_dag, ucca_dag in zip(alignments, ud_dags, ucca_dags):
+    inventory: RelationInventory = DEFAULT_INVENTORY
+    arg_total: int = 0
+    arg_to_a: int = 0
+    a_total: int = 0
+    a_to_arg: int = 0
+    pred_total: int = 0
+    pred_matched: int = 0
+    scene_total: int = 0
+    scene_matched: int = 0
+    head_total: int = 0
+    head_semantic: int = 0
+    head_unmatched: int = 0
+
+    def add(
+        self, alignment: SentenceAlignment, ud_dag: UnifiedDAG, ucca_dag: UnifiedDAG
+    ) -> "StatsAccumulator":
+        arguments = self.inventory.argument_relations
         matched_yields = {y for y, _, _ in alignment.matched}
         for y, ud_label, ucca_label in alignment.matched:
             r = ud_label.render()
-            if r in inventory.argument_relations:
-                arg_total += 1
+            if r in arguments:
+                self.arg_total += 1
                 if PARTICIPANT_CATEGORY in ucca_label:
-                    arg_to_a += 1
+                    self.arg_to_a += 1
             if PARTICIPANT_CATEGORY in ucca_label:
-                a_total += 1
-                if r in inventory.argument_relations:
-                    a_to_arg += 1
+                self.a_total += 1
+                if r in arguments:
+                    self.a_to_arg += 1
             if r == HEAD_LABEL:
-                head_total += 1
+                self.head_total += 1
                 if set(ucca_label.categories) & SEMANTIC_HEAD_CATEGORIES:
-                    head_semantic += 1
+                    self.head_semantic += 1
         for y, ud_label in alignment.unmatched_ud:
             r = ud_label.render()
-            if r in inventory.argument_relations:
-                arg_total += 1
+            if r in arguments:
+                self.arg_total += 1
             if r == HEAD_LABEL:
-                head_total += 1
-                head_unmatched += 1
+                self.head_total += 1
+                self.head_unmatched += 1
         for y, ucca_label in alignment.unmatched_ucca:
             if PARTICIPANT_CATEGORY in ucca_label:
-                a_total += 1
+                self.a_total += 1
 
         scenes = _scene_yields(ucca_dag)
-        predicates = _predicate_units(ud_dag, inventory)
+        predicates = _predicate_units(ud_dag, self.inventory)
         matched_scenes = {y for y in scenes if y in matched_yields}
-        scene_total += len(scenes)
-        scene_matched += sum(
+        self.scene_total += len(scenes)
+        self.scene_matched += sum(
             1 for y in matched_scenes if any(head <= y for head in predicates)
         )
-        pred_total += len(predicates)
-        pred_matched += sum(
+        self.pred_total += len(predicates)
+        self.pred_matched += sum(
             1
             for head_yield in predicates
             if any(head_yield <= y for y in matched_scenes)
         )
+        return self
 
-    return StatReport(
-        argument_to_participant=Ratio(arg_to_a, arg_total),
-        participant_to_argument=Ratio(a_to_arg, a_total),
-        predicate_to_scene=Ratio(pred_matched, pred_total),
-        scene_to_predicate=Ratio(scene_matched, scene_total),
-        head_semantic=Ratio(head_semantic, head_total),
-        head_unmatched=Ratio(head_unmatched, head_total),
-        head_other=Ratio(head_total - head_semantic - head_unmatched, head_total),
-    )
+    def report(self) -> StatReport:
+        return StatReport(
+            argument_to_participant=Ratio(self.arg_to_a, self.arg_total),
+            participant_to_argument=Ratio(self.a_to_arg, self.a_total),
+            predicate_to_scene=Ratio(self.pred_matched, self.pred_total),
+            scene_to_predicate=Ratio(self.scene_matched, self.scene_total),
+            head_semantic=Ratio(self.head_semantic, self.head_total),
+            head_unmatched=Ratio(self.head_unmatched, self.head_total),
+            head_other=Ratio(
+                self.head_total - self.head_semantic - self.head_unmatched,
+                self.head_total,
+            ),
+        )
+
+
+def aggregate_stats(
+    alignments: Iterable[SentenceAlignment],
+    ud_dags: Iterable[UnifiedDAG],
+    ucca_dags: Iterable[UnifiedDAG],
+    inventory: RelationInventory = DEFAULT_INVENTORY,
+) -> StatReport:
+    """Divergence statistics over a corpus of aligned sentence pairs."""
+    stats = StatsAccumulator(inventory)
+    for alignment, ud_dag, ucca_dag in zip(alignments, ud_dags, ucca_dags):
+        stats.add(alignment, ud_dag, ucca_dag)
+    return stats.report()
 
 
 def render_matrix_tsv(matrix: ConfusionMatrix) -> str:

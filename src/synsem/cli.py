@@ -8,8 +8,16 @@ Subcommands:
   evaluate   score predicted semantic graphs against gold, optionally with
              the per-relation fine-grained report
 
-Exit codes: 0 success, 1 usage error, 2 data error. Set SYNSEM_LOG to
-debug/info/warning to control diagnostic verbosity.
+Every subcommand reads its inputs once, sentence by sentence, and folds
+each sentence (or sentence pair) into a running total before reading the
+next, so memory does not grow with corpus size. Under --pair-by id the
+second input (and --ud for evaluate --fine-grained) is indexed whole.
+
+Exit codes: 0 success, 1 usage error, 2 data error. A data error leaves
+--out untouched. A parse error is reported where it is met; a sentence
+count mismatch is reported in preference to an id-pairing or per-sentence
+error. Set SYNSEM_LOG to debug/info/warning to control diagnostic
+verbosity.
 """
 
 from __future__ import annotations
@@ -17,16 +25,16 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import multiprocessing
 import os
 import sys
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .alignment import (
     AlignmentError,
+    ConfusionMatrix,
+    StatsAccumulator,
     align_sentence,
-    confusion_matrix,
-    aggregate_stats,
     overlap_f1,
     render_matrix_markdown,
     render_matrix_tsv,
@@ -37,16 +45,15 @@ from .evaluation import (
     FineGrainedScorer,
     evaluate_ucca,
     render_report,
-    report_json,
 )
 from .model import StructureError
 from .normalization import normalize
 from .treebanks import (
     ParseError,
-    pair_sentences,
-    parse_conllu,
-    parse_ucca_json,
-    write_unified,
+    SentencePairs,
+    iter_conllu,
+    iter_ucca_json,
+    unified_line,
 )
 from .ud_conversion import convert_extended
 
@@ -57,6 +64,12 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 
 DATA_ERRORS = (ParseError, StructureError, AlignmentError, EvaluationError, OSError)
+# Errors raised while working on one sentence pair, as opposed to reading it.
+PAIR_ERRORS = (StructureError, AlignmentError, EvaluationError)
+
+EVAL_ORDER = (
+    ("primary", True), ("primary", False), ("remote", True), ("remote", False),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,60 +80,82 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def _lines(path: str) -> Iterator[str]:
+    """The lines of a UTF-8 file, read lazily and split at "\n" only."""
+    with open(path, "rb") as handle:
+        for line_no, raw in enumerate(handle, 1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(
+                    f"invalid UTF-8 ({exc.reason}), {path} line {line_no}"
+                ) from None
+            yield line
 
 
 def _write(path: str, text: str):
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _map_jobs(fn, items: list, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with multiprocessing.Pool(jobs) as pool:
-        return pool.map(fn, items)
+def _write_lines(path: str, lines: Iterable[str]) -> int:
+    """Stream lines into a temporary file beside path, then rename it over
+    path, so that an error part-way leaves path as it was. Returns the
+    number of lines written."""
+    target = Path(path)
+    partial = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    count = 0
+    try:
+        with open(partial, "w", encoding="utf-8", newline="\n") as handle:
+            for line in lines:
+                handle.write(line)
+                count += 1
+        os.replace(partial, target)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    return count
 
 
-def _convert_ud_sentence(args):
-    tree, join, promote = args
-    return convert_extended(tree, join_unanalyzable=join, promote=promote)
+def _fold(pairs: SentencePairs, step) -> None:
+    """Call step on each pair in turn; a count mismatch beats its errors."""
+    try:
+        for items in pairs:
+            step(*items)
+    except PAIR_ERRORS:
+        pairs.check_counts()
+        raise
 
 
-def _convert_ucca_sentence(graph):
-    return normalize(graph)
+def cmd_convert(args) -> int:
+    if args.ud:
+        join, promote = not args.no_mwe_join, not args.no_conj_promote
+        dags = (
+            convert_extended(tree, join_unanalyzable=join, promote=promote)
+            for tree in iter_conllu(_lines(args.ud))
+        )
+    else:
+        dags = map(normalize, iter_ucca_json(_lines(args.ucca)))
+    count = _write_lines(args.out, map(unified_line, dags))
+    log.info("converted %d sentences from %s", count, args.ud or args.ucca)
+    return EXIT_OK
 
 
-def _align_pair(args):
-    tree, graph = args
+def _syntax_semantics_pairs(args) -> SentencePairs:
+    return SentencePairs(
+        iter_conllu(_lines(args.ud)), iter_ucca_json(_lines(args.ucca)), by=args.pair_by
+    )
+
+
+def _align_pair(tree, graph):
     ud_dag = convert_extended(tree)
     ucca_dag = normalize(graph)
     return align_sentence(ud_dag, ucca_dag), ud_dag, ucca_dag
 
 
-def cmd_convert(args) -> int:
-    if args.ud:
-        trees = parse_conllu(_read(args.ud))
-        log.info("parsed %d sentences from %s", len(trees), args.ud)
-        work = [(t, not args.no_mwe_join, not args.no_conj_promote) for t in trees]
-        dags = _map_jobs(_convert_ud_sentence, work, args.jobs)
-    else:
-        graphs = parse_ucca_json(_read(args.ucca))
-        log.info("parsed %d graphs from %s", len(graphs), args.ucca)
-        dags = _map_jobs(_convert_ucca_sentence, graphs, args.jobs)
-    _write(args.out, write_unified(dags))
-    return EXIT_OK
-
-
-def _load_pairs(args):
-    trees = parse_conllu(_read(args.ud))
-    graphs = parse_ucca_json(_read(args.ucca))
-    return pair_sentences(trees, graphs, by=args.pair_by)
-
-
 def cmd_confusion(args) -> int:
-    results = _map_jobs(_align_pair, _load_pairs(args), args.jobs)
-    matrix = confusion_matrix(alignment for alignment, _, _ in results)
+    matrix = ConfusionMatrix()
+    _fold(_syntax_semantics_pairs(args),
+          lambda tree, graph: matrix.add(_align_pair(tree, graph)[0]))
     score = overlap_f1(matrix)
     if args.format == "md":
         body = render_matrix_markdown(matrix) + "\n" + score.summary() + "\n"
@@ -131,58 +166,37 @@ def cmd_confusion(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    results = _map_jobs(_align_pair, _load_pairs(args), args.jobs)
-    report = aggregate_stats(
-        [a for a, _, _ in results],
-        [u for _, u, _ in results],
-        [g for _, _, g in results],
-    )
-    _write(args.out, report.render())
+    stats = StatsAccumulator()
+    _fold(_syntax_semantics_pairs(args),
+          lambda tree, graph: stats.add(*_align_pair(tree, graph)))
+    _write(args.out, stats.report().render())
     return EXIT_OK
 
 
-def _evaluate_pair(args):
-    gold_graph, pred_graph = args
-    gold = normalize(gold_graph, keep_remotes=True)
-    pred = normalize(pred_graph, keep_remotes=True)
-    return {
-        (edge_class, labeled): evaluate_ucca(gold, pred, labeled, edge_class)
-        for edge_class in ("primary", "remote")
-        for labeled in (True, False)
-    }
-
-
 def cmd_evaluate(args) -> int:
-    gold_graphs = parse_ucca_json(_read(args.gold))
-    pred_graphs = parse_ucca_json(_read(args.pred))
-    pairs = pair_sentences(gold_graphs, pred_graphs, by=args.pair_by)
-    per_sentence = _map_jobs(_evaluate_pair, pairs, args.jobs)
-    totals: dict[tuple[str, bool], EvalCounts] = {}
-    for counts in per_sentence:
-        for key, value in counts.items():
-            totals[key] = totals.get(key, EvalCounts()) + value
-
-    rows = None
+    streams = [iter_ucca_json(_lines(args.gold)), iter_ucca_json(_lines(args.pred))]
     if args.fine_grained:
-        trees = parse_conllu(_read(args.ud))
-        ud_pairs = pair_sentences(gold_graphs, trees, by=args.pair_by)
-        scorer = FineGrainedScorer()
-        for (gold_graph, pred_graph), (_, tree) in zip(pairs, ud_pairs):
-            scorer.add(
-                normalize(gold_graph),
-                normalize(pred_graph),
-                convert_extended(tree),
-            )
-        rows = scorer.rows()
+        streams.append(iter_conllu(_lines(args.ud)))
+    totals = dict.fromkeys(EVAL_ORDER, EvalCounts())
+    scorer = FineGrainedScorer()
 
+    def step(gold_graph, pred_graph, tree=None):
+        # The scorer reads primary edges only, so the remote-keeping DAGs
+        # serve it as well.
+        gold = normalize(gold_graph, keep_remotes=True)
+        pred = normalize(pred_graph, keep_remotes=True)
+        for edge_class, labeled in EVAL_ORDER:
+            totals[edge_class, labeled] += evaluate_ucca(gold, pred, labeled, edge_class)
+        if tree is not None:
+            scorer.add(gold, pred, convert_extended(tree))
+
+    _fold(SentencePairs(*streams, by=args.pair_by), step)
+    rows = scorer.rows() if args.fine_grained else None
     _write(args.out, _format_evaluation(totals, rows, args.format))
     return EXIT_OK
 
 
 def _format_evaluation(totals, rows, fmt: str) -> str:
-    order = [
-        ("primary", True), ("primary", False), ("remote", True), ("remote", False),
-    ]
     if fmt == "json":
         payload = {
             "corpus": {
@@ -194,7 +208,7 @@ def _format_evaluation(totals, rows, fmt: str) -> str:
                     "recall": c.recall,
                     "f1": c.f1,
                 }
-                for (edge_class, labeled) in order
+                for (edge_class, labeled) in EVAL_ORDER
                 for c in [totals[(edge_class, labeled)]]
             }
         }
@@ -204,7 +218,7 @@ def _format_evaluation(totals, rows, fmt: str) -> str:
 
     header = ["edges", "mode", "n_gold", "n_pred", "n_correct", "P", "R", "F1"]
     body_rows = []
-    for edge_class, labeled in order:
+    for edge_class, labeled in EVAL_ORDER:
         c = totals[(edge_class, labeled)]
         body_rows.append(
             [
@@ -240,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", required=True, help="output file path")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="sentence-level worker processes (output-identical)")
         p.add_argument("--pair-by", choices=("index", "id"), default="index",
                        help="pair sentences positionally or by sentence id")
 

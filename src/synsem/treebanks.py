@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .model import (
     NON_TERMINAL,
@@ -92,10 +92,14 @@ class UCCAGraph:
     root: str
 
 
-def _as_lines(text: str | Iterable[str]) -> Iterable[str]:
+def _as_lines(text: str | Iterable[str]) -> Iterator[str]:
+    # Lines end at "\n" only, so that a str and a file opened without
+    # newline translation split alike; str.splitlines would also break at
+    # U+2028, U+0085 and other characters that JSON strings may hold raw.
     if isinstance(text, str):
-        return text.splitlines()
-    return (line.rstrip("\n").rstrip("\r") for line in text)
+        text = text.split("\n")
+    for line in text:
+        yield line.removesuffix("\n").removesuffix("\r")
 
 
 def base_relation(deprel: str) -> str:
@@ -104,42 +108,29 @@ def base_relation(deprel: str) -> str:
 
 
 def parse_conllu(text: str | Iterable[str]) -> list[UDTree]:
-    """Parse a CoNLL-U character stream into one UDTree per sentence.
+    """Parse a CoNLL-U character stream into one UDTree per sentence."""
+    return list(iter_conllu(text))
+
+
+def iter_conllu(text: str | Iterable[str]) -> Iterator[UDTree]:
+    """Yield one UDTree per sentence as soon as its block is read.
 
     sentence_id is taken from the "# sent_id" comment when present, else a
     running 1-based counter. Errors name the file line that caused them.
     """
-    trees: list[UDTree] = []
     tokens: list[UDToken] = []
     token_lines: list[int] = []
     sent_id: str | None = None
     counter = 0
 
-    def flush(line_no: int):
-        nonlocal tokens, token_lines, sent_id, counter
-        if not tokens:
-            sent_id = None
-            return
-        counter += 1
-        sid = sent_id if sent_id is not None else str(counter)
-        roots = [i for i, tok in enumerate(tokens) if tok.head == 0]
-        if not roots:
-            raise ParseError(f"no root token, line {token_lines[0]}")
-        if len(roots) > 1:
-            raise ParseError(f"multiple roots, line {token_lines[roots[1]]}")
-        for tok, tline in zip(tokens, token_lines):
-            if tok.head < 0 or tok.head > len(tokens):
-                raise ParseError(f"head out of range, line {tline}")
-        _check_head_cycles(tokens, sid)
-        trees.append(UDTree(sid, tuple(tokens)))
-        tokens = []
-        token_lines = []
-        sent_id = None
-
-    line_no = 0
     for line_no, line in enumerate(_as_lines(text), 1):
         if not line.strip():
-            flush(line_no)
+            if tokens:
+                counter += 1
+                sid = sent_id if sent_id is not None else str(counter)
+                yield _build_tree(sid, tokens, token_lines)
+                tokens, token_lines = [], []
+            sent_id = None
             continue
         if line.startswith("#"):
             body = line[1:].strip()
@@ -181,8 +172,22 @@ def parse_conllu(text: str | Iterable[str]) -> list[UDTree]:
             )
         )
         token_lines.append(line_no)
-    flush(line_no + 1)
-    return trees
+    if tokens:
+        sid = sent_id if sent_id is not None else str(counter + 1)
+        yield _build_tree(sid, tokens, token_lines)
+
+
+def _build_tree(sid: str, tokens: list[UDToken], token_lines: list[int]) -> UDTree:
+    roots = [i for i, tok in enumerate(tokens) if tok.head == 0]
+    if not roots:
+        raise ParseError(f"no root token, line {token_lines[0]}")
+    if len(roots) > 1:
+        raise ParseError(f"multiple roots, line {token_lines[roots[1]]}")
+    for tok, tline in zip(tokens, token_lines):
+        if tok.head < 0 or tok.head > len(tokens):
+            raise ParseError(f"head out of range, line {tline}")
+    _check_head_cycles(tokens, sid)
+    return UDTree(sid, tuple(tokens))
 
 
 def _check_head_cycles(tokens: list[UDToken], sid: str):
@@ -202,7 +207,11 @@ def _check_head_cycles(tokens: list[UDToken], sid: str):
 
 def parse_ucca_json(text: str | Iterable[str]) -> list[UCCAGraph]:
     """Parse JSON-lines semantic graphs; errors name the sentence id."""
-    graphs: list[UCCAGraph] = []
+    return list(iter_ucca_json(text))
+
+
+def iter_ucca_json(text: str | Iterable[str]) -> Iterator[UCCAGraph]:
+    """Yield one UCCAGraph per non-blank line as soon as it is read."""
     counter = 0
     for raw in _as_lines(text):
         if not raw.strip():
@@ -261,8 +270,7 @@ def parse_ucca_json(text: str | Iterable[str]) -> list[UCCAGraph]:
                 f"multiple root candidates: {', '.join(roots)}, sentence {sid}"
             )
         _check_primary_cycles(node_ids, primary_parents, sid)
-        graphs.append(UCCAGraph(sid, tokens, tuple(node_ids), tuple(edges), roots[0]))
-    return graphs
+        yield UCCAGraph(sid, tokens, tuple(node_ids), tuple(edges), roots[0])
 
 
 def _known_child(child: str, node_ids: set[str], n_tokens: int) -> bool:
@@ -291,37 +299,39 @@ def _check_primary_cycles(node_ids, primary_parents, sid):
 
 def write_unified(dags: Iterable[UnifiedDAG]) -> str:
     """Serialize unified DAGs as JSON-lines; refuses structurally broken input."""
-    lines = []
-    for dag in dags:
-        problems = validate(dag)
-        if problems:
-            raise StructureError(
-                f"refusing to serialize {dag.sentence_id}: "
-                + "; ".join(str(v) for v in problems)
-            )
-        nodes = []
-        for node in dag.nodes:
-            entry: dict = {"id": node.id, "kind": node.kind}
-            if node.is_pre_terminal:
-                entry["terminals"] = list(node.covered_terminals)
-            nodes.append(entry)
-        obj = {
-            "id": dag.sentence_id,
-            "tokens": [{"text": t.form, "punct": t.is_punct} for t in dag.terminals],
-            "nodes": nodes,
-            "edges": [
-                {
-                    "parent": e.parent,
-                    "child": e.child,
-                    "categories": list(e.label.categories),
-                    "remote": e.remote,
-                }
-                for e in dag.edges
-            ],
-            "root": dag.root,
-        }
-        lines.append(json.dumps(obj, ensure_ascii=False))
-    return "".join(line + "\n" for line in lines)
+    return "".join(unified_line(dag) for dag in dags)
+
+
+def unified_line(dag: UnifiedDAG) -> str:
+    """One JSON-lines record of write_unified, newline included."""
+    problems = validate(dag)
+    if problems:
+        raise StructureError(
+            f"refusing to serialize {dag.sentence_id}: "
+            + "; ".join(str(v) for v in problems)
+        )
+    nodes = []
+    for node in dag.nodes:
+        entry: dict = {"id": node.id, "kind": node.kind}
+        if node.is_pre_terminal:
+            entry["terminals"] = list(node.covered_terminals)
+        nodes.append(entry)
+    obj = {
+        "id": dag.sentence_id,
+        "tokens": [{"text": t.form, "punct": t.is_punct} for t in dag.terminals],
+        "nodes": nodes,
+        "edges": [
+            {
+                "parent": e.parent,
+                "child": e.child,
+                "categories": list(e.label.categories),
+                "remote": e.remote,
+            }
+            for e in dag.edges
+        ],
+        "root": dag.root,
+    }
+    return json.dumps(obj, ensure_ascii=False) + "\n"
 
 
 def read_unified(text: str | Iterable[str]) -> list[UnifiedDAG]:
@@ -366,29 +376,82 @@ def read_unified(text: str | Iterable[str]) -> list[UnifiedDAG]:
     return dags
 
 
-def pair_sentences(left: list, right: list, by: str = "index") -> list[tuple]:
-    """Pair two parallel corpora sentence by sentence.
+def pair_sentences(left: Iterable, right: Iterable, by: str = "index") -> list[tuple]:
+    """Pair two parallel corpora sentence by sentence; see SentencePairs."""
+    return list(SentencePairs(left, right, by=by))
 
-    Positional by default; by="id" matches on sentence ids instead (both
-    sides must then carry the same id set). A count mismatch is a hard
-    error either way.
+
+_END = object()
+
+
+class SentencePairs:
+    """Lazy pairing of a first corpus with one or more parallel corpora.
+
+    Iterating yields one tuple per sentence of the first corpus, holding it
+    and its counterpart in each other corpus. by="index" pairs positionally
+    and streams every corpus; by="id" matches on sentence ids, streaming
+    the first corpus and indexing each other one whole. Ids must then be
+    unique on every side and every first-corpus id present on the others.
+
+    A sentence count mismatch is a hard error either way, and it is
+    reported in preference to any pairing error. A caller whose work on a
+    pair fails calls check_counts so that the same holds for its errors.
     """
-    if len(left) != len(right):
-        raise ParseError(
-            f"sentence count mismatch: left={len(left)} right={len(right)}"
-        )
-    if by == "index":
-        return list(zip(left, right))
-    if by != "id":
-        raise ValueError(f"unknown pairing mode: {by!r}")
-    right_by_id: dict[str, object] = {}
-    for item in right:
-        if item.sentence_id in right_by_id:
-            raise ParseError(f"duplicate sentence id: {item.sentence_id}")
-        right_by_id[item.sentence_id] = item
-    pairs = []
-    for item in left:
-        if item.sentence_id not in right_by_id:
-            raise ParseError(f"sentence id {item.sentence_id} missing from second corpus")
-        pairs.append((item, right_by_id[item.sentence_id]))
-    return pairs
+
+    def __init__(self, first: Iterable, *others: Iterable, by: str = "index"):
+        if by not in ("index", "id"):
+            raise ValueError(f"unknown pairing mode: {by!r}")
+        self.by = by
+        self._streams = [iter(first), *(iter(other) for other in others)]
+        self._counts = [0] * len(self._streams)
+
+    def __iter__(self) -> Iterator[tuple]:
+        return self._zip() if self.by == "index" else self._by_id()
+
+    def check_counts(self):
+        """Read every corpus to its end; raise ParseError if counts differ."""
+        for i, stream in enumerate(self._streams):
+            for _ in stream:
+                self._counts[i] += 1
+        first = self._counts[0]
+        for count in self._counts[1:]:
+            if count != first:
+                raise ParseError(f"sentence count mismatch: left={first} right={count}")
+
+    def _next(self, i: int):
+        item = next(self._streams[i], _END)
+        if item is not _END:
+            self._counts[i] += 1
+        return item
+
+    def _fail(self, message: str):
+        self.check_counts()
+        raise ParseError(message)
+
+    def _zip(self) -> Iterator[tuple]:
+        while True:
+            items = tuple(self._next(i) for i in range(len(self._streams)))
+            if any(item is _END for item in items):
+                self.check_counts()
+                return
+            yield items
+
+    def _by_id(self) -> Iterator[tuple]:
+        indexes = []
+        for i in range(1, len(self._streams)):
+            index: dict[str, object] = {}
+            while (item := self._next(i)) is not _END:
+                if item.sentence_id in index:
+                    self._fail(f"duplicate sentence id: {item.sentence_id}")
+                index[item.sentence_id] = item
+            indexes.append(index)
+        seen: set[str] = set()
+        while (item := self._next(0)) is not _END:
+            sid = item.sentence_id
+            if sid in seen:
+                self._fail(f"duplicate sentence id: {sid}")
+            seen.add(sid)
+            if any(sid not in index for index in indexes):
+                self._fail(f"sentence id {sid} missing from second corpus")
+            yield (item, *(index[sid] for index in indexes))
+        self.check_counts()

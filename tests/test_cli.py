@@ -1,9 +1,11 @@
 import json
 import shutil
+import tracemalloc
 
 import pytest
 
 from synsem.cli import main
+from synsem.treebanks import read_unified
 
 from helpers import FIXTURES, read_fixture
 
@@ -32,6 +34,49 @@ def test_convert_empty_corpus(tmp_path):
     out = tmp_path / "out.jsonl"
     assert run(["convert", "--ud", str(empty), "--out", str(out)]) == 0
     assert out.read_text(encoding="utf-8") == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.conllu", "out.jsonl"]
+
+
+def test_convert_error_midstream_leaves_out_untouched(tmp_path, capsys):
+    bad = tmp_path / "bad.conllu"
+    bad.write_text(
+        read_fixture("mini_ud.conllu") + "\n"
+        "1\ta\t_\t_\t_\t_\t2\tdet\t_\t_\n"
+        "2\tb\t_\t_\t_\t_\t1\tdet\t_\t_\n"
+        "3\tc\t_\t_\t_\t_\t0\troot\t_\t_\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out.jsonl"
+    out.write_bytes(b"earlier output\n")
+    assert run(["convert", "--ud", str(bad), "--out", str(out)]) == 2
+    assert "head cycle, sentence 4" in capsys.readouterr().err
+    assert out.read_bytes() == b"earlier output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.conllu", "out.jsonl"]
+
+
+def test_non_utf8_input_names_file_and_line(tmp_path, capsys):
+    text = read_fixture("mini_ud.conllu") + "\n"
+    bad = tmp_path / "latin1.conllu"
+    bad.write_bytes(
+        text.encode("utf-8")
+        + "1\tcaf\xe9\t_\t_\t_\t_\t0\troot\t_\t_\n".encode("latin-1")
+    )
+    out = tmp_path / "o.jsonl"
+    assert run(["convert", "--ud", str(bad), "--out", str(out)]) == 2
+    line = text.count("\n") + 1
+    assert f"invalid UTF-8 (invalid continuation byte), {bad} line {line}" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
+def test_convert_ucca_token_with_line_separator(tmp_path):
+    out = tmp_path / "norm.jsonl"
+    assert run(["convert", "--ucca", fixture(tmp_path, "u2028_ucca.jsonl"),
+                "--out", str(out)]) == 0
+    written = out.read_text(encoding="utf-8")
+    assert json.loads(written)["tokens"][0]["text"] == "Hello\u2028world"
+    assert read_unified(written)[0].terminals[0].form == "Hello\u2028world"
 
 
 def test_convert_cyclic_input_exits_2(tmp_path, capsys):
@@ -114,6 +159,22 @@ def test_confusion_sentence_count_mismatch_exits_2(tmp_path, capsys):
     ])
     assert code == 2
     assert "sentence count mismatch" in capsys.readouterr().err
+
+
+def test_confusion_count_mismatch_beats_token_mismatch(tmp_path, capsys):
+    short = tmp_path / "short.jsonl"
+    lines = read_fixture("mini_ucca.jsonl").split("\n")
+    short.write_text("\n".join(lines[1:]), encoding="utf-8")
+    out = tmp_path / "o"
+    code = run([
+        "confusion",
+        "--ud", fixture(tmp_path, "mini_ud.conllu"),
+        "--ucca", str(short),
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert "sentence count mismatch: left=3 right=2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_confusion_token_mismatch_names_sentence(tmp_path, capsys):
@@ -224,18 +285,16 @@ def test_usage_error_exits_1():
     assert exc.value.code == 1
 
 
-def test_jobs_flag_identical_output(tmp_path):
-    serial = tmp_path / "serial.tsv"
-    parallel = tmp_path / "parallel.tsv"
-    for out, jobs in ((serial, "1"), (parallel, "2")):
-        assert run([
+def test_removed_jobs_flag_is_a_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run([
             "confusion",
             "--ud", fixture(tmp_path, "mini_ud.conllu"),
             "--ucca", fixture(tmp_path, "mini_ucca.jsonl"),
-            "--jobs", jobs,
-            "--out", str(out),
-        ]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
+            "--jobs", "2",
+            "--out", str(tmp_path / "o"),
+        ])
+    assert exc.value.code == 1
 
 
 def test_convert_determinism_across_runs(tmp_path):
@@ -243,7 +302,7 @@ def test_convert_determinism_across_runs(tmp_path):
     second = tmp_path / "b.jsonl"
     for out in (first, second):
         assert run(["convert", "--ud", fixture(tmp_path, "mini_ud.conllu"),
-                    "--jobs", "2", "--out", str(out)]) == 0
+                    "--out", str(out)]) == 0
     assert first.read_bytes() == second.read_bytes()
 
 
@@ -252,3 +311,30 @@ def test_log_env_var_is_harmless(tmp_path, monkeypatch):
     out = tmp_path / "o.jsonl"
     assert run(["convert", "--ud", fixture(tmp_path, "graduation_ud.conllu"),
                 "--out", str(out)]) == 0
+
+
+STREAMED = {
+    "convert": lambda ud, ucca, out: ["convert", "--ud", ud, "--out", out],
+    "confusion": lambda ud, ucca, out: ["confusion", "--ud", ud, "--ucca", ucca, "--out", out],
+    "evaluate": lambda ud, ucca, out: ["evaluate", "--gold", ucca, "--pred", ucca, "--out", out],
+}
+
+
+@pytest.mark.parametrize("command", sorted(STREAMED))
+def test_peak_memory_does_not_grow_with_corpus_size(tmp_path, command):
+    peaks = []
+    for times in (200, 800):
+        paths = []
+        for name in ("mini_ud.conllu", "mini_ucca.jsonl"):
+            path = tmp_path / f"{times}x_{name}"
+            path.write_text((read_fixture(name).rstrip("\n") + "\n\n") * times,
+                            encoding="utf-8")
+            paths.append(str(path))
+        argv = STREAMED[command](*paths, str(tmp_path / f"{times}x.out"))
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2 * 2**20, peaks

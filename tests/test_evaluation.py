@@ -121,6 +121,20 @@ def test_fine_grained_identity_rows():
     assert none.total_in_ud == 0 and none.match_gold == 1
 
 
+def test_fine_grained_rows_ignore_remote_edges():
+    gold_ud = convert_extended(parse_conllu(read_fixture("graduation_ud.conllu"))[0])
+    graphs = [
+        parse_ucca_json(read_fixture(name))[0]
+        for name in ("graduation_ucca.jsonl", "graduation_pred_relabel.jsonl")
+    ]
+    assert any(e.remote for e in graphs[0].edges)
+    rows = {
+        keep: fine_grained(*(normalize(g, keep_remotes=keep) for g in graphs), gold_ud)
+        for keep in (False, True)
+    }
+    assert rows[True] == rows[False]
+
+
 def test_fine_grained_single_perturbation_hits_only_obl():
     rows = fine_rows("graduation_pred_relabel.jsonl")
     obl = rows["obl"]

@@ -225,6 +225,17 @@ def test_write_then_read_is_identity_on_fixtures():
         assert read_unified(write_unified([dag])) == [dag]
 
 
+def test_line_separator_in_token_survives_round_trip():
+    text = read_fixture("u2028_ucca.jsonl")
+    graph = parse_ucca_json(text)[0]
+    assert graph.tokens[0].form == "Hello\u2028world"
+    dag = normalize(graph)
+    written = write_unified([dag])
+    assert "\u2028" in written
+    assert read_unified(written) == [dag]
+    assert read_unified(written.split("\n")) == [dag]
+
+
 def test_write_unified_empty_corpus():
     assert write_unified([]) == ""
 
@@ -274,3 +285,10 @@ def test_pair_sentences_missing_id():
     renamed = [UCCAGraph("other", g.tokens, g.node_ids, g.edges, g.root) for g in graphs[:1]]
     with pytest.raises(ParseError, match="missing from second corpus"):
         pair_sentences(trees, renamed + list(graphs[1:]), by="id")
+
+
+def test_pair_sentences_duplicate_id_in_first_corpus():
+    graphs = parse_ucca_json(read_fixture("mini_ucca.jsonl"))
+    trees = parse_conllu(read_fixture("mini_ud.conllu"))
+    with pytest.raises(ParseError, match="duplicate sentence id: after-graduation"):
+        pair_sentences([trees[0], trees[0]], graphs[:2], by="id")
