@@ -13,13 +13,11 @@ from .alignment import (
     SentenceAlignment,
     StatReport,
     StatsAccumulator,
-    aggregate_stats,
     align_sentence,
     confusion_matrix,
     overlap_f1,
 )
 from .evaluation import (
-    EvalCounts,
     EvaluationError,
     FineGrainedRow,
     FineGrainedScorer,
@@ -30,12 +28,12 @@ from .evaluation import (
 from .model import (
     CategorySet,
     Edge,
+    EvalCounts,
     Node,
     StructureError,
     Terminal,
     UnifiedDAG,
     validate,
-    yield_of,
 )
 from .normalization import normalize, top_category_index
 from .treebanks import (
@@ -45,7 +43,6 @@ from .treebanks import (
     UDTree,
     iter_conllu,
     iter_ucca_json,
-    pair_sentences,
     parse_conllu,
     parse_ucca_json,
     read_unified,
@@ -53,7 +50,6 @@ from .treebanks import (
     write_unified,
 )
 from .ud_conversion import (
-    RelationInventory,
     convert_basic,
     convert_extended,
     join_mwes,

@@ -17,11 +17,14 @@ from .model import (
     HEAD_LABEL,
     ROOT_SENTINEL,
     CategorySet,
+    EvalCounts,
     UnifiedDAG,
     all_yields,
+    check_same_tokens,
+    render_table,
 )
 from .normalization import top_category_index
-from .ud_conversion import DEFAULT_INVENTORY, RelationInventory
+from .ud_conversion import ARGUMENT_RELATIONS, EXCLUDED_RELATIONS
 
 PARTICIPANT_CATEGORY = "A"
 
@@ -43,38 +46,18 @@ class SentenceAlignment:
     unmatched_ucca: frozenset[tuple[frozenset[int], CategorySet]]
 
 
-def _check_same_tokens(ud_dag: UnifiedDAG, ucca_dag: UnifiedDAG):
-    ud_forms = [t.form for t in ud_dag.terminals]
-    ucca_forms = [t.form for t in ucca_dag.terminals]
-    if ud_forms != ucca_forms:
-        for pos, (a, b) in enumerate(zip(ud_forms, ucca_forms), 1):
-            if a != b:
-                raise AlignmentError(
-                    f"token mismatch at position {pos} "
-                    f"({a!r} vs {b!r}), sentence {ud_dag.sentence_id}"
-                )
-        raise AlignmentError(
-            f"token count mismatch ({len(ud_forms)} vs {len(ucca_forms)}), "
-            f"sentence {ud_dag.sentence_id}"
-        )
-
-
-def _is_excluded(label: CategorySet, inventory: RelationInventory) -> bool:
+def _is_excluded(label: CategorySet) -> bool:
     cats = label.categories
-    return len(cats) == 1 and cats[0] in inventory.excluded_relations
+    return len(cats) == 1 and cats[0] in EXCLUDED_RELATIONS
 
 
-def align_sentence(
-    ud_dag: UnifiedDAG,
-    ucca_dag: UnifiedDAG,
-    inventory: RelationInventory = DEFAULT_INVENTORY,
-) -> SentenceAlignment:
+def align_sentence(ud_dag: UnifiedDAG, ucca_dag: UnifiedDAG) -> SentenceAlignment:
     """Match the units of one converted/normalized sentence pair by yield."""
-    _check_same_tokens(ud_dag, ucca_dag)
+    check_same_tokens(ud_dag, ucca_dag, AlignmentError)
     ud_index = {
         y: label
         for y, label in top_category_index(ud_dag).items()
-        if label != ROOT_SENTINEL and not _is_excluded(label, inventory)
+        if label != ROOT_SENTINEL and not _is_excluded(label)
     }
     ucca_index = {
         y: label
@@ -97,8 +80,8 @@ def align_sentence(
 class ConfusionMatrix:
     """Counts of matched (relation, category set) pairs plus No-Match margins.
 
-    Merging is associative and commutative, so corpora may be folded in any
-    order (or in parallel) without changing the result.
+    Every count is a sum over sentences, so sentences may be added in any
+    order without changing the result.
     """
 
     cells: Counter = field(default_factory=Counter)
@@ -113,14 +96,6 @@ class ConfusionMatrix:
         for _, ucca_label in alignment.unmatched_ucca:
             self.no_match_ucca[ucca_label.render()] += 1
         return self
-
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        merged = ConfusionMatrix(
-            self.cells + other.cells,
-            self.no_match_ud + other.no_match_ud,
-            self.no_match_ucca + other.no_match_ucca,
-        )
-        return merged
 
     def row_labels(self) -> list[str]:
         rows = {r for r, _ in self.cells} | set(self.no_match_ud)
@@ -151,14 +126,9 @@ class OverlapScore:
 
     @classmethod
     def from_counts(cls, n_ud: int, n_ucca: int, n_common: int) -> "OverlapScore":
-        precision = n_common / n_ud if n_ud else 0.0
-        recall = n_common / n_ucca if n_ucca else 0.0
-        f1 = (
-            2 * precision * recall / (precision + recall)
-            if precision + recall
-            else 0.0
-        )
-        return cls(precision, recall, f1, n_ud, n_ucca, n_common)
+        # Precision is over UD units, recall over semantic units.
+        c = EvalCounts(n_gold=n_ucca, n_pred=n_ud, n_correct=n_common)
+        return cls(c.precision, c.recall, c.f1, n_ud, n_ucca, n_common)
 
     def summary(self) -> str:
         return (
@@ -170,7 +140,7 @@ class OverlapScore:
 
 
 def overlap_f1(matrix: ConfusionMatrix) -> OverlapScore:
-    """How much of one scheme's unit inventory the other accounts for."""
+    """How much of one scheme's units the other accounts for."""
     n_common = sum(matrix.cells.values())
     n_ud = n_common + sum(matrix.no_match_ud.values())
     n_ucca = n_common + sum(matrix.no_match_ucca.values())
@@ -229,7 +199,7 @@ class StatReport:
         return "".join(line + "\n" for line in lines)
 
 
-def _predicate_units(dag: UnifiedDAG, inventory: RelationInventory) -> list[frozenset[int]]:
+def _predicate_units(dag: UnifiedDAG) -> list[frozenset[int]]:
     """Head-word yields of units holding at least one argument relation."""
     yields = all_yields(dag, exclude_punct=True)
     result = []
@@ -239,7 +209,7 @@ def _predicate_units(dag: UnifiedDAG, inventory: RelationInventory) -> list[froz
         child_edges = dag.primary_children.get(node.id, ())
         has_argument = any(
             len(e.label.categories) == 1
-            and e.label.categories[0] in inventory.argument_relations
+            and e.label.categories[0] in ARGUMENT_RELATIONS
             for e in child_edges
         )
         if not has_argument:
@@ -277,7 +247,6 @@ class StatsAccumulator:
     word(s).
     """
 
-    inventory: RelationInventory = DEFAULT_INVENTORY
     arg_total: int = 0
     arg_to_a: int = 0
     a_total: int = 0
@@ -293,17 +262,16 @@ class StatsAccumulator:
     def add(
         self, alignment: SentenceAlignment, ud_dag: UnifiedDAG, ucca_dag: UnifiedDAG
     ) -> "StatsAccumulator":
-        arguments = self.inventory.argument_relations
         matched_yields = {y for y, _, _ in alignment.matched}
         for y, ud_label, ucca_label in alignment.matched:
             r = ud_label.render()
-            if r in arguments:
+            if r in ARGUMENT_RELATIONS:
                 self.arg_total += 1
                 if PARTICIPANT_CATEGORY in ucca_label:
                     self.arg_to_a += 1
             if PARTICIPANT_CATEGORY in ucca_label:
                 self.a_total += 1
-                if r in arguments:
+                if r in ARGUMENT_RELATIONS:
                     self.a_to_arg += 1
             if r == HEAD_LABEL:
                 self.head_total += 1
@@ -311,7 +279,7 @@ class StatsAccumulator:
                     self.head_semantic += 1
         for y, ud_label in alignment.unmatched_ud:
             r = ud_label.render()
-            if r in arguments:
+            if r in ARGUMENT_RELATIONS:
                 self.arg_total += 1
             if r == HEAD_LABEL:
                 self.head_total += 1
@@ -321,7 +289,7 @@ class StatsAccumulator:
                 self.a_total += 1
 
         scenes = _scene_yields(ucca_dag)
-        predicates = _predicate_units(ud_dag, self.inventory)
+        predicates = _predicate_units(ud_dag)
         matched_scenes = {y for y in scenes if y in matched_yields}
         self.scene_total += len(scenes)
         self.scene_matched += sum(
@@ -350,46 +318,20 @@ class StatsAccumulator:
         )
 
 
-def aggregate_stats(
-    alignments: Iterable[SentenceAlignment],
-    ud_dags: Iterable[UnifiedDAG],
-    ucca_dags: Iterable[UnifiedDAG],
-    inventory: RelationInventory = DEFAULT_INVENTORY,
-) -> StatReport:
-    """Divergence statistics over a corpus of aligned sentence pairs."""
-    stats = StatsAccumulator(inventory)
-    for alignment, ud_dag, ucca_dag in zip(alignments, ud_dags, ucca_dags):
-        stats.add(alignment, ud_dag, ucca_dag)
-    return stats.report()
-
-
-def render_matrix_tsv(matrix: ConfusionMatrix) -> str:
-    """Tab-separated matrix; zero cells render as empty strings."""
+def render_matrix(matrix: ConfusionMatrix, fmt: str) -> str:
+    """The matrix as TSV or Markdown; zero cells render as empty strings."""
     columns = matrix.column_labels()
-    lines = ["\t".join([""] + columns + ["No Match"])]
-    for row in matrix.row_labels():
-        cells = [_cell(matrix.cells.get((row, col), 0)) for col in columns]
-        cells.append(_cell(matrix.no_match_ud.get(row, 0)))
-        lines.append("\t".join([row] + cells))
-    no_match_row = [_cell(matrix.no_match_ucca.get(col, 0)) for col in columns]
-    lines.append("\t".join(["No Match"] + no_match_row + [""]))
-    return "".join(line + "\n" for line in lines)
-
-
-def render_matrix_markdown(matrix: ConfusionMatrix) -> str:
-    columns = matrix.column_labels()
-    header = ["relation"] + columns + ["No Match"]
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "|" + "|".join(["---"] * len(header)) + "|",
+    rows = [
+        [row]
+        + [_cell(matrix.cells.get((row, col), 0)) for col in columns]
+        + [_cell(matrix.no_match_ud.get(row, 0))]
+        for row in matrix.row_labels()
     ]
-    for row in matrix.row_labels():
-        cells = [_cell(matrix.cells.get((row, col), 0)) for col in columns]
-        cells.append(_cell(matrix.no_match_ud.get(row, 0)))
-        lines.append("| " + " | ".join([row] + cells) + " |")
-    no_match_row = [_cell(matrix.no_match_ucca.get(col, 0)) for col in columns]
-    lines.append("| " + " | ".join(["No Match"] + no_match_row + [""]) + " |")
-    return "".join(line + "\n" for line in lines)
+    rows.append(
+        ["No Match"] + [_cell(matrix.no_match_ucca.get(col, 0)) for col in columns] + [""]
+    )
+    corner = "relation" if fmt == "md" else ""
+    return render_table([corner] + columns + ["No Match"], rows, fmt)
 
 
 def _cell(count: int) -> str:

@@ -36,17 +36,10 @@ from .alignment import (
     StatsAccumulator,
     align_sentence,
     overlap_f1,
-    render_matrix_markdown,
-    render_matrix_tsv,
+    render_matrix,
 )
-from .evaluation import (
-    EvalCounts,
-    EvaluationError,
-    FineGrainedScorer,
-    evaluate_ucca,
-    render_report,
-)
-from .model import StructureError
+from .evaluation import EvaluationError, FineGrainedScorer, evaluate_ucca, render_report
+from .model import EvalCounts, StructureError, render_table
 from .normalization import normalize
 from .treebanks import (
     ParseError,
@@ -158,9 +151,9 @@ def cmd_confusion(args) -> int:
           lambda tree, graph: matrix.add(_align_pair(tree, graph)[0]))
     score = overlap_f1(matrix)
     if args.format == "md":
-        body = render_matrix_markdown(matrix) + "\n" + score.summary() + "\n"
+        body = render_matrix(matrix, "md") + "\n" + score.summary() + "\n"
     else:
-        body = render_matrix_tsv(matrix) + "# " + score.summary() + "\n"
+        body = render_matrix(matrix, "tsv") + "# " + score.summary() + "\n"
     _write(args.out, body)
     return EXIT_OK
 
@@ -208,8 +201,7 @@ def _format_evaluation(totals, rows, fmt: str) -> str:
                     "recall": c.recall,
                     "f1": c.f1,
                 }
-                for (edge_class, labeled) in EVAL_ORDER
-                for c in [totals[(edge_class, labeled)]]
+                for (edge_class, labeled), c in totals.items()
             }
         }
         if rows is not None:
@@ -217,34 +209,22 @@ def _format_evaluation(totals, rows, fmt: str) -> str:
         return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
 
     header = ["edges", "mode", "n_gold", "n_pred", "n_correct", "P", "R", "F1"]
-    body_rows = []
-    for edge_class, labeled in EVAL_ORDER:
-        c = totals[(edge_class, labeled)]
-        body_rows.append(
-            [
-                edge_class,
-                "labeled" if labeled else "unlabeled",
-                str(c.n_gold),
-                str(c.n_pred),
-                str(c.n_correct),
-                f"{100 * c.precision:.1f}",
-                f"{100 * c.recall:.1f}",
-                f"{100 * c.f1:.1f}",
-            ]
-        )
-    if fmt == "md":
-        out = [
-            "| " + " | ".join(header) + " |",
-            "|" + "|".join(["---"] * len(header)) + "|",
+    body_rows = [
+        [
+            edge_class,
+            "labeled" if labeled else "unlabeled",
+            str(c.n_gold),
+            str(c.n_pred),
+            str(c.n_correct),
+            f"{100 * c.precision:.1f}",
+            f"{100 * c.recall:.1f}",
+            f"{100 * c.f1:.1f}",
         ]
-        out.extend("| " + " | ".join(row) + " |" for row in body_rows)
-        text = "".join(line + "\n" for line in out)
-        if rows is not None:
-            text += "\n" + render_report(rows, fmt="md")
-        return text
-    text = "".join("\t".join(row) + "\n" for row in [header] + body_rows)
+        for (edge_class, labeled), c in totals.items()
+    ]
+    text = render_table(header, body_rows, fmt)
     if rows is not None:
-        text += "\n" + render_report(rows, fmt="tsv")
+        text += "\n" + render_report(rows, fmt=fmt)
     return text
 
 

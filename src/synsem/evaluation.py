@@ -10,55 +10,25 @@ one bucket; units matching no relation land in a "(none)" pseudo-row.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
-from .model import ROOT_SENTINEL, UnifiedDAG, all_yields
+from .model import (
+    ROOT_SENTINEL,
+    EvalCounts,
+    UnifiedDAG,
+    all_yields,
+    check_same_tokens,
+    render_table,
+)
 from .normalization import top_category_index
-from .ud_conversion import DEFAULT_INVENTORY, RelationInventory
+from .ud_conversion import EXCLUDED_RELATIONS
 
 UNBUCKETED = "(none)"
 
 
 class EvaluationError(Exception):
     """Gold and prediction do not describe the same sentences."""
-
-
-@dataclass(frozen=True)
-class EvalCounts:
-    n_gold: int = 0
-    n_pred: int = 0
-    n_correct: int = 0
-
-    def __post_init__(self):
-        if self.n_correct > min(self.n_gold, self.n_pred):
-            raise ValueError("n_correct exceeds n_gold or n_pred")
-
-    def __add__(self, other: "EvalCounts") -> "EvalCounts":
-        return EvalCounts(
-            self.n_gold + other.n_gold,
-            self.n_pred + other.n_pred,
-            self.n_correct + other.n_correct,
-        )
-
-    @property
-    def precision(self) -> float:
-        return self.n_correct / self.n_pred if self.n_pred else 0.0
-
-    @property
-    def recall(self) -> float:
-        return self.n_correct / self.n_gold if self.n_gold else 0.0
-
-    @property
-    def f1(self) -> float:
-        p, r = self.precision, self.recall
-        return 2 * p * r / (p + r) if p + r else 0.0
-
-
-def _check_same_tokens(gold: UnifiedDAG, pred: UnifiedDAG):
-    if [t.form for t in gold.terminals] != [t.form for t in pred.terminals]:
-        raise EvaluationError(f"token mismatch, sentence {gold.sentence_id}")
 
 
 def _edge_units(dag: UnifiedDAG, edge_class: str, labeled: bool) -> Counter:
@@ -91,7 +61,7 @@ def evaluate_ucca(
     """
     if edge_class not in ("primary", "remote"):
         raise ValueError(f"unknown edge class: {edge_class!r}")
-    _check_same_tokens(gold, pred)
+    check_same_tokens(gold, pred, EvaluationError)
     gold_units = _edge_units(gold, edge_class, labeled)
     pred_units = _edge_units(pred, edge_class, labeled)
     n_correct = sum(
@@ -119,19 +89,7 @@ class FineGrainedRow:
     avg_words: float
 
     def as_dict(self) -> dict:
-        return {
-            "relation": self.relation,
-            "total_in_ud": self.total_in_ud,
-            "match_gold": self.match_gold,
-            "match_pred": self.match_pred,
-            "labeled_correct": self.labeled_correct,
-            "unlabeled_correct": self.unlabeled_correct,
-            "labeled_f1": self.labeled_f1,
-            "unlabeled_f1": self.unlabeled_f1,
-            "labeled_over_unlabeled_pct": self.labeled_over_unlabeled_pct,
-            "mode_baseline_pct": self.mode_baseline_pct,
-            "avg_words": self.avg_words,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -145,28 +103,21 @@ class _Bucket:
     gold_words: int = 0
 
 
-def _f1(correct: int, n_pred: int, n_gold: int) -> float:
-    precision = correct / n_pred if n_pred else 0.0
-    recall = correct / n_gold if n_gold else 0.0
-    return 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-
-
 class FineGrainedScorer:
     """Accumulates per-relation unit matches over a corpus."""
 
-    def __init__(self, inventory: RelationInventory = DEFAULT_INVENTORY):
-        self.inventory = inventory
+    def __init__(self):
         self.buckets: dict[str, _Bucket] = {}
 
     def add(self, gold_ucca: UnifiedDAG, pred_ucca: UnifiedDAG, gold_ud: UnifiedDAG):
-        _check_same_tokens(gold_ud, gold_ucca)
-        _check_same_tokens(gold_ud, pred_ucca)
+        check_same_tokens(gold_ud, gold_ucca, EvaluationError)
+        check_same_tokens(gold_ud, pred_ucca, EvaluationError)
         relation_of = {}
         for y, label in top_category_index(gold_ud).items():
             if label == ROOT_SENTINEL:
                 continue
             cats = label.categories
-            if len(cats) == 1 and cats[0] in self.inventory.excluded_relations:
+            if len(cats) == 1 and cats[0] in EXCLUDED_RELATIONS:
                 continue
             relation_of[y] = label.render()
         gold_index = {
@@ -208,6 +159,8 @@ class FineGrainedScorer:
         for relation in sorted(self.buckets):
             b = self.buckets[relation]
             mode = max(b.gold_labels.values()) if b.gold_labels else 0
+            labeled = EvalCounts(b.match_gold, b.match_pred, b.labeled_correct)
+            unlabeled = EvalCounts(b.match_gold, b.match_pred, b.unlabeled_correct)
             rows.append(
                 FineGrainedRow(
                     relation=relation,
@@ -216,8 +169,8 @@ class FineGrainedScorer:
                     match_pred=b.match_pred,
                     labeled_correct=b.labeled_correct,
                     unlabeled_correct=b.unlabeled_correct,
-                    labeled_f1=_f1(b.labeled_correct, b.match_pred, b.match_gold),
-                    unlabeled_f1=_f1(b.unlabeled_correct, b.match_pred, b.match_gold),
+                    labeled_f1=labeled.f1,
+                    unlabeled_f1=unlabeled.f1,
                     labeled_over_unlabeled_pct=(
                         100 * b.labeled_correct / b.unlabeled_correct
                         if b.unlabeled_correct
@@ -233,30 +186,15 @@ class FineGrainedScorer:
 
 
 def fine_grained(
-    gold_ucca: UnifiedDAG,
-    pred_ucca: UnifiedDAG,
-    gold_ud: UnifiedDAG,
-    inventory: RelationInventory = DEFAULT_INVENTORY,
+    gold_ucca: UnifiedDAG, pred_ucca: UnifiedDAG, gold_ud: UnifiedDAG
 ) -> list[FineGrainedRow]:
     """Per-relation breakdown for a single sentence triple."""
-    scorer = FineGrainedScorer(inventory)
+    scorer = FineGrainedScorer()
     scorer.add(gold_ucca, pred_ucca, gold_ud)
     return scorer.rows()
 
 
-REPORT_COLUMNS = (
-    "relation",
-    "total_in_ud",
-    "match_gold",
-    "match_pred",
-    "labeled_correct",
-    "unlabeled_correct",
-    "labeled_f1",
-    "unlabeled_f1",
-    "labeled_over_unlabeled_pct",
-    "mode_baseline_pct",
-    "avg_words",
-)
+REPORT_COLUMNS = tuple(f.name for f in fields(FineGrainedRow))
 
 
 def _sorted_rows(rows: list[FineGrainedRow], sort: str) -> list[FineGrainedRow]:
@@ -291,25 +229,4 @@ def render_report(
     F1 columns render as percentages with one decimal; labeled_f1 sorting
     is best-first with ties broken by relation name.
     """
-    ordered = _sorted_rows(rows, sort)
-    if fmt == "tsv":
-        lines = ["\t".join(REPORT_COLUMNS)]
-        lines.extend("\t".join(_row_cells(row)) for row in ordered)
-        return "".join(line + "\n" for line in lines)
-    if fmt == "md":
-        lines = [
-            "| " + " | ".join(REPORT_COLUMNS) + " |",
-            "|" + "|".join(["---"] * len(REPORT_COLUMNS)) + "|",
-        ]
-        lines.extend("| " + " | ".join(_row_cells(row)) + " |" for row in ordered)
-        return "".join(line + "\n" for line in lines)
-    raise ValueError(f"unknown report format: {fmt!r}")
-
-
-def report_json(rows: list[FineGrainedRow], sort: str = "labeled_f1") -> str:
-    """Machine-readable mirror of the rendered report."""
-    return json.dumps(
-        [row.as_dict() for row in _sorted_rows(rows, sort)],
-        ensure_ascii=False,
-        indent=2,
-    ) + "\n"
+    return render_table(REPORT_COLUMNS, map(_row_cells, _sorted_rows(rows, sort)), fmt)

@@ -1,5 +1,9 @@
 """Shared graph model: terminals, labeled DAGs, and terminal yields.
 
+It also holds what the comparison and evaluation outputs share: the
+token check on a sentence pair, P/R/F1 from counts, and the table
+renderer.
+
 Both annotation schemes are reduced to the same structure before any
 comparison: every token is wrapped in a pre-terminal node, non-terminals
 group nodes into units, and edges carry one or more category labels.
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 PRE_TERMINAL = "terminal-wrapper"
 NON_TERMINAL = "non-terminal"
@@ -203,32 +207,6 @@ def same_structure(a: UnifiedDAG, b: UnifiedDAG) -> bool:
         and set(a.edges) == set(b.edges)
         and a.root == b.root
     )
-
-
-def yield_of(dag: UnifiedDAG, node_id: str, exclude_punct: bool = False) -> frozenset[int]:
-    """Terminal indices reachable from a node via primary edges only.
-
-    Remote edges never contribute. With exclude_punct, punctuation indices
-    are removed from the result (the node itself is untouched).
-    """
-    if node_id not in dag.node_by_id:
-        raise KeyError(node_id)
-    covered: set[int] = set()
-    stack = [node_id]
-    seen = {node_id}
-    while stack:
-        current = stack.pop()
-        node = dag.node_by_id[current]
-        if node.is_pre_terminal:
-            covered.update(node.covered_terminals)
-        for edge in dag.primary_children.get(current, ()):
-            if edge.child in seen:
-                raise StructureError(f"primary-cycle: reached {edge.child} twice")
-            seen.add(edge.child)
-            stack.append(edge.child)
-    if exclude_punct:
-        covered -= dag.punct_indices
-    return frozenset(covered)
 
 
 def all_yields(dag: UnifiedDAG, exclude_punct: bool = False) -> dict[str, frozenset[int]]:
@@ -431,3 +409,72 @@ def canonicalize_ids(dag: UnifiedDAG) -> UnifiedDAG:
         Edge(mapping[e.parent], mapping[e.child], e.label, e.remote) for e in dag.edges
     )
     return UnifiedDAG(dag.sentence_id, dag.terminals, nodes, edges, mapping[dag.root])
+
+
+def check_same_tokens(a: UnifiedDAG, b: UnifiedDAG, error_cls: type[Exception]):
+    """Raise error_cls unless both sides have the same token forms.
+
+    The message names the first differing position, or else the two token
+    counts, and a's sentence id.
+    """
+    a_forms = [t.form for t in a.terminals]
+    b_forms = [t.form for t in b.terminals]
+    if a_forms == b_forms:
+        return
+    for pos, (x, y) in enumerate(zip(a_forms, b_forms), 1):
+        if x != y:
+            raise error_cls(
+                f"token mismatch at position {pos} ({x!r} vs {y!r}), "
+                f"sentence {a.sentence_id}"
+            )
+    raise error_cls(
+        f"token count mismatch ({len(a_forms)} vs {len(b_forms)}), "
+        f"sentence {a.sentence_id}"
+    )
+
+
+@dataclass(frozen=True)
+class EvalCounts:
+    """Gold, predicted and correct unit counts, and the P/R/F1 they give."""
+
+    n_gold: int = 0
+    n_pred: int = 0
+    n_correct: int = 0
+
+    def __post_init__(self):
+        if self.n_correct > min(self.n_gold, self.n_pred):
+            raise ValueError("n_correct exceeds n_gold or n_pred")
+
+    def __add__(self, other: "EvalCounts") -> "EvalCounts":
+        return EvalCounts(
+            self.n_gold + other.n_gold,
+            self.n_pred + other.n_pred,
+            self.n_correct + other.n_correct,
+        )
+
+    @property
+    def precision(self) -> float:
+        return self.n_correct / self.n_pred if self.n_pred else 0.0
+
+    @property
+    def recall(self) -> float:
+        return self.n_correct / self.n_gold if self.n_gold else 0.0
+
+    @property
+    def f1(self) -> float:
+        p, r = self.precision, self.recall
+        return 2 * p * r / (p + r) if p + r else 0.0
+
+
+def render_table(header: Sequence[str], rows: Iterable[Sequence[str]], fmt: str) -> str:
+    """A header and rows of cells as TSV ("tsv") or a Markdown table ("md")."""
+    if fmt == "tsv":
+        lines = ["\t".join(header)]
+        lines.extend("\t".join(row) for row in rows)
+    elif fmt == "md":
+        lines = ["| " + " | ".join(header) + " |"]
+        lines.append("|" + "|".join(["---"] * len(header)) + "|")
+        lines.extend("| " + " | ".join(row) + " |" for row in rows)
+    else:
+        raise ValueError(f"unknown table format: {fmt!r}")
+    return "".join(line + "\n" for line in lines)

@@ -17,7 +17,6 @@ from .model import (
     PRE_TERMINAL,
     ROOT_SENTINEL,
     CategorySet,
-    Edge,
     Node,
     StructureError,
     Terminal,
@@ -53,11 +52,7 @@ def normalize(graph: UCCAGraph, *, keep_remotes: bool = False) -> UnifiedDAG:
     nodes.extend(
         Node(f"t{i}", PRE_TERMINAL, (i,)) for i in range(1, len(graph.tokens) + 1)
     )
-    edges = tuple(
-        Edge(e.parent, e.child, e.label, e.remote)
-        for e in graph.edges
-        if keep_remotes or not e.remote
-    )
+    edges = graph.edges if keep_remotes else tuple(e for e in graph.edges if not e.remote)
     dag = UnifiedDAG(graph.sentence_id, terminals, tuple(nodes), edges, graph.root)
 
     reached = {dag.root}

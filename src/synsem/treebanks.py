@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .model import (
-    NON_TERMINAL,
-    PRE_TERMINAL,
     CategorySet,
     Edge,
     Node,
@@ -50,7 +48,6 @@ class ParseError(Exception):
 class UDToken:
     index: int
     form: str
-    upos: str
     deprel: str  # may still carry a subtype, e.g. "obl:tmod"
     head: int  # 0 marks the root token
     is_punct: bool
@@ -65,9 +62,6 @@ class UDTree:
 
     def token(self, index: int) -> UDToken:
         return self.tokens[index - 1]
-
-    def dependents(self, head: int) -> tuple[int, ...]:
-        return tuple(t.index for t in self.tokens if t.head == head)
 
 
 @dataclass(frozen=True)
@@ -161,14 +155,18 @@ def iter_conllu(text: str | Iterable[str]) -> Iterator[UDTree]:
         except ValueError:
             raise ParseError(f"non-integer head {columns[_HEAD]!r}, line {line_no}")
         deprel = columns[_DEPREL]
+        relation = base_relation(deprel)
+        if not relation:
+            raise ParseError(f"DEPREL {deprel!r} has an empty relation, line {line_no}")
+        if "|" in deprel:
+            raise ParseError(f"DEPREL {deprel!r} contains '|', line {line_no}")
         tokens.append(
             UDToken(
                 index=index,
                 form=form,
-                upos=columns[_UPOS],
                 deprel=deprel,
                 head=head,
-                is_punct=base_relation(deprel) == "punct",
+                is_punct=relation == "punct",
             )
         )
         token_lines.append(line_no)
@@ -222,10 +220,12 @@ def iter_ucca_json(text: str | Iterable[str]) -> Iterator[UCCAGraph]:
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON, sentence {counter}: {exc}") from exc
         sid = str(obj.get("id", counter))
-        tokens = tuple(
-            UCCAToken(form=tok["text"], punct=bool(tok.get("punct", False)))
-            for tok in obj.get("tokens", ())
-        )
+        tokens = []
+        for tok in obj.get("tokens", ()):
+            punct = tok.get("punct", False)
+            if not isinstance(punct, bool):
+                raise ParseError(f"token 'punct' must be true or false, sentence {sid}")
+            tokens.append(UCCAToken(tok["text"], punct))
         node_ids = []
         seen_ids: set[str] = set()
         for node in obj.get("nodes", ()):
@@ -247,11 +247,18 @@ def iter_ucca_json(text: str | Iterable[str]) -> Iterator[UCCAGraph]:
                 raise ParseError(f"dangling node reference: {parent}, sentence {sid}")
             if not _known_child(child, seen_ids, len(tokens)):
                 raise ParseError(f"dangling node reference: {child}, sentence {sid}")
+            categories = entry["categories"]
+            if not isinstance(categories, list) or not all(
+                isinstance(c, str) for c in categories
+            ):
+                raise ParseError(f"edge 'categories' must be a list of strings, sentence {sid}")
             try:
-                label = CategorySet(tuple(entry["categories"]))
+                label = CategorySet(tuple(categories))
             except ValueError as exc:
                 raise ParseError(f"{exc}, sentence {sid}") from exc
-            remote = bool(entry.get("remote", False))
+            remote = entry.get("remote", False)
+            if not isinstance(remote, bool):
+                raise ParseError(f"edge 'remote' must be true or false, sentence {sid}")
             try:
                 edge = Edge(parent, child, label, remote)
             except ValueError as exc:
@@ -270,7 +277,7 @@ def iter_ucca_json(text: str | Iterable[str]) -> Iterator[UCCAGraph]:
                 f"multiple root candidates: {', '.join(roots)}, sentence {sid}"
             )
         _check_primary_cycles(node_ids, primary_parents, sid)
-        yield UCCAGraph(sid, tokens, tuple(node_ids), tuple(edges), roots[0])
+        yield UCCAGraph(sid, tuple(tokens), tuple(node_ids), tuple(edges), roots[0])
 
 
 def _known_child(child: str, node_ids: set[str], n_tokens: int) -> bool:
@@ -374,11 +381,6 @@ def read_unified(text: str | Iterable[str]) -> list[UnifiedDAG]:
             raise ParseError(f"{exc}, sentence {sid}") from exc
         dags.append(dag)
     return dags
-
-
-def pair_sentences(left: Iterable, right: Iterable, by: str = "index") -> list[tuple]:
-    """Pair two parallel corpora sentence by sentence; see SentencePairs."""
-    return list(SentencePairs(left, right, by=by))
 
 
 _END = object()

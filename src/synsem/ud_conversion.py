@@ -11,12 +11,10 @@ sibling position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .model import (
     HEAD,
-    HEAD_LABEL,
     NON_TERMINAL,
     PRE_TERMINAL,
     CategorySet,
@@ -27,7 +25,7 @@ from .model import (
 )
 from .treebanks import UDToken, UDTree, base_relation
 
-#: The universal relation inventory (v2 taxonomy).
+#: The universal relations (v2 taxonomy).
 UNIVERSAL_RELATIONS = frozenset(
     {
         "acl", "advcl", "advmod", "amod", "appos", "aux", "case", "cc",
@@ -54,27 +52,10 @@ EXCLUDED_RELATIONS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class RelationInventory:
-    universal_relations: frozenset[str] = UNIVERSAL_RELATIONS
-    mwe_relations: frozenset[str] = MWE_RELATIONS
-    argument_relations: frozenset[str] = ARGUMENT_RELATIONS
-    excluded_relations: frozenset[str] = EXCLUDED_RELATIONS
-
-    def __post_init__(self):
-        if not self.mwe_relations <= self.universal_relations:
-            raise ValueError("mwe relations must be universal relations")
-        if not self.excluded_relations <= self.universal_relations | {"root"}:
-            raise ValueError("excluded relations must be universal relations or root")
-
-
-DEFAULT_INVENTORY = RelationInventory()
-
-
 def strip_subtypes(tree: UDTree) -> UDTree:
     """Truncate every relation at its first ":" (det:def becomes det)."""
     tokens = tuple(
-        UDToken(t.index, t.form, t.upos, base_relation(t.deprel), t.head, t.is_punct)
+        UDToken(t.index, t.form, base_relation(t.deprel), t.head, t.is_punct)
         for t in tree.tokens
     )
     return UDTree(tree.sentence_id, tokens)

@@ -36,15 +36,12 @@ def read_fixture(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
 
 
-def make_tree(
-    rows: list[tuple[str, int, str]], sentence_id: str = "test", upos: str = "X"
-) -> UDTree:
+def make_tree(rows: list[tuple[str, int, str]], sentence_id: str = "test") -> UDTree:
     """Build a UDTree from (form, head, deprel) rows."""
     tokens = tuple(
         UDToken(
             index=i,
             form=form,
-            upos=upos,
             deprel=deprel,
             head=head,
             is_punct=deprel.split(":")[0] == "punct",

@@ -4,14 +4,12 @@ import pytest
 
 from synsem.alignment import (
     AlignmentError,
-    ConfusionMatrix,
     OverlapScore,
-    aggregate_stats,
+    StatsAccumulator,
     align_sentence,
     confusion_matrix,
     overlap_f1,
-    render_matrix_markdown,
-    render_matrix_tsv,
+    render_matrix,
 )
 from synsem.normalization import normalize
 from synsem.treebanks import parse_conllu, parse_ucca_json
@@ -160,10 +158,7 @@ def test_matrix_merge_is_order_insensitive():
     forward = confusion_matrix(alignments)
     backward = confusion_matrix(reversed(alignments))
     assert forward == backward
-    merged = ConfusionMatrix().merge(forward)
-    assert merged == forward
-    split = confusion_matrix(alignments[:1]).merge(confusion_matrix(alignments[1:]))
-    assert split == forward
+    assert confusion_matrix(alignments[1:]).add(alignments[0]) == forward
 
 
 def test_overlap_f1_reported_corpus_counts():
@@ -188,13 +183,16 @@ def test_overlap_f1_equals_closed_form():
     assert (score.n_ud, score.n_ucca, score.n_common) == (21, 23, 19)
 
 
+def stats_report(results):
+    stats = StatsAccumulator()
+    for alignment, ud_dag, ucca_dag in results:
+        stats.add(alignment, ud_dag, ucca_dag)
+    return stats.report()
+
+
 def test_aggregate_stats_mini_corpus_argument_shares():
     results = mini_alignments([0])
-    report = aggregate_stats(
-        [a for a, _, _ in results],
-        [u for _, u, _ in results],
-        [c for _, _, c in results],
-    )
+    report = stats_report(results)
     # Three argument units (nsubj John, obl to-Paris, obl After-graduation);
     # two match a Participant. Both Participant units match arguments.
     assert (report.argument_to_participant.numerator,
@@ -205,7 +203,7 @@ def test_aggregate_stats_mini_corpus_argument_shares():
 
 
 def test_aggregate_stats_zero_denominators_flagged():
-    report = aggregate_stats([], [], [])
+    report = StatsAccumulator().report()
     for _, ratio in report.rows():
         assert ratio.undefined
         assert ratio.value == 0.0
@@ -214,11 +212,7 @@ def test_aggregate_stats_zero_denominators_flagged():
 
 def test_aggregate_stats_head_breakdown():
     results = mini_alignments()
-    report = aggregate_stats(
-        [a for a, _, _ in results],
-        [u for _, u, _ in results],
-        [c for _, _, c in results],
-    )
+    report = stats_report(results)
     # Heads across the three fixtures: 7 matched units, all P/S/H/C.
     assert (report.head_semantic.numerator, report.head_semantic.denominator) == (7, 7)
     assert report.head_unmatched.numerator == 0
@@ -227,11 +221,7 @@ def test_aggregate_stats_head_breakdown():
 
 def test_aggregate_stats_scene_and_predicate_shares():
     results = mini_alignments()
-    report = aggregate_stats(
-        [a for a, _, _ in results],
-        [u for _, u, _ in results],
-        [c for _, _, c in results],
-    )
+    report = stats_report(results)
     # Scenes (units with a Participant child) per fixture: one in the first
     # (the remote is gone after normalization), none in the second, two in
     # the third. Matched scene yields: only {you enter} from the third.
@@ -245,7 +235,7 @@ def test_aggregate_stats_scene_and_predicate_shares():
 
 def test_matrix_tsv_layout():
     matrix = confusion_matrix(a for a, _, _ in mini_alignments())
-    text = render_matrix_tsv(matrix)
+    text = render_matrix(matrix, "tsv")
     lines = text.splitlines()
     header = lines[0].split("\t")
     assert header[0] == ""
@@ -261,8 +251,8 @@ def test_matrix_tsv_layout():
 
 def test_matrix_markdown_mirrors_tsv_content():
     matrix = confusion_matrix(a for a, _, _ in mini_alignments())
-    md = render_matrix_markdown(matrix)
-    tsv = render_matrix_tsv(matrix)
+    md = render_matrix(matrix, "md")
+    tsv = render_matrix(matrix, "tsv")
     md_cells = [
         [c.strip() for c in line.strip("|").split("|")]
         for line in md.splitlines()

@@ -192,6 +192,61 @@ def test_confusion_token_mismatch_names_sentence(tmp_path, capsys):
     assert "token mismatch" in capsys.readouterr().err
 
 
+def test_evaluate_token_mismatch_names_position(tmp_path, capsys):
+    swapped = tmp_path / "swapped.jsonl"
+    lines = read_fixture("mini_ucca.jsonl").splitlines()
+    swapped.write_text("\n".join([lines[1], lines[0], lines[2]]) + "\n",
+                       encoding="utf-8")
+    code = run([
+        "evaluate",
+        "--gold", fixture(tmp_path, "mini_ucca.jsonl"),
+        "--pred", str(swapped),
+        "--out", str(tmp_path / "o"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "synsem: error: token mismatch at position 1 ('After' vs 'unique'), "
+        "sentence after-graduation\n"
+    )
+
+
+@pytest.mark.parametrize("deprel,message", [
+    ("", "DEPREL '' has an empty relation, line 2"),
+    (":foo", "DEPREL ':foo' has an empty relation, line 2"),
+    ("det|amod", "DEPREL 'det|amod' contains '|', line 2"),
+], ids=["empty", "subtype-only", "two-labels"])
+def test_convert_rejects_malformed_deprel(tmp_path, capsys, deprel, message):
+    bad = tmp_path / "bad.conllu"
+    bad.write_text(
+        "1\ta\t_\t_\t_\t_\t0\troot\t_\t_\n"
+        f"2\tb\t_\t_\t_\t_\t1\t{deprel}\t_\t_\n",
+        encoding="utf-8",
+    )
+    assert run(["convert", "--ud", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"synsem: error: {message}\n"
+
+
+@pytest.mark.parametrize("item,field,value,message", [
+    ("edges", "categories", "AB", "edge 'categories' must be a list of strings"),
+    ("edges", "categories", ["A", 1], "edge 'categories' must be a list of strings"),
+    ("edges", "remote", "no", "edge 'remote' must be true or false"),
+    ("tokens", "punct", 1, "token 'punct' must be true or false"),
+], ids=["categories-string", "categories-int", "remote-string", "punct-int"])
+def test_convert_rejects_mistyped_graph_fields(tmp_path, capsys, item, field, value, message):
+    graph = {
+        "id": "s",
+        "tokens": [{"text": "a"}, {"text": "b", "punct": False}],
+        "nodes": [{"id": "r"}],
+        "edges": [{"parent": "r", "child": "t1", "categories": ["A"]},
+                  {"parent": "r", "child": "t2", "categories": ["B"], "remote": False}],
+    }
+    graph[item][1][field] = value
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(graph) + "\n", encoding="utf-8")
+    assert run(["convert", "--ucca", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"synsem: error: {message}, sentence s\n"
+
+
 def test_pair_by_id_reorders(tmp_path):
     swapped = tmp_path / "swapped.jsonl"
     lines = read_fixture("mini_ucca.jsonl").splitlines()

@@ -9,10 +9,10 @@ from synsem.model import (
     StructureError,
     Terminal,
     UnifiedDAG,
+    all_yields,
     canonicalize_ids,
     same_structure,
     validate,
-    yield_of,
 )
 from synsem.normalization import normalize
 from synsem.treebanks import parse_conllu, parse_ucca_json
@@ -63,44 +63,43 @@ def test_edge_rejects_self_loop():
 
 def test_yield_of_non_terminal_over_two_tokens(graduation_dag):
     # The unit holding the first two tokens covers exactly those.
-    assert yield_of(graduation_dag, "n2") == frozenset({1, 2})
+    assert all_yields(graduation_dag)["n2"] == frozenset({1, 2})
 
 
 def test_yield_of_single_pre_terminal(graduation_dag):
+    yields = all_yields(graduation_dag)
     for k in range(1, 8):
-        assert yield_of(graduation_dag, f"t{k}") == frozenset({k})
+        assert yields[f"t{k}"] == frozenset({k})
 
 
 def test_yield_excludes_punctuation(graduation_dag):
-    assert yield_of(graduation_dag, "n5") == frozenset({1, 2, 3, 4, 5, 6, 7})
-    assert yield_of(graduation_dag, "n5", exclude_punct=True) == frozenset({1, 2, 4, 5, 6, 7})
+    assert all_yields(graduation_dag)["n5"] == frozenset({1, 2, 3, 4, 5, 6, 7})
+    assert all_yields(graduation_dag, exclude_punct=True)["n5"] == frozenset({1, 2, 4, 5, 6, 7})
 
 
 def test_remote_edges_never_contribute_to_yields(graduation_graph):
-    with_remote = normalize(graduation_graph, keep_remotes=True)
-    without = normalize(graduation_graph)
+    with_remote = all_yields(normalize(graduation_graph, keep_remotes=True))
+    without = all_yields(normalize(graduation_graph))
     # The remote Participant under the first scene adds nothing to it.
-    assert yield_of(with_remote, "s1") == frozenset({2})
-    assert yield_of(without, "s1") == frozenset({2})
+    assert with_remote["s1"] == frozenset({2})
+    assert without["s1"] == frozenset({2})
     # The main scene is unaffected either way.
-    assert yield_of(with_remote, "s2") == frozenset({4, 5, 6, 7})
-    for node in with_remote.nodes:
-        assert yield_of(with_remote, node.id) == yield_of(without, node.id)
+    assert with_remote["s2"] == frozenset({4, 5, 6, 7})
+    assert with_remote == without
 
 
 def test_yield_of_unknown_node_raises(graduation_dag):
     with pytest.raises(KeyError):
-        yield_of(graduation_dag, "no-such-node")
+        all_yields(graduation_dag)["no-such-node"]
 
 
 def test_yields_match_oracle_on_fixtures(graduation_dag, graduation_graph):
     dags = [graduation_dag, normalize(graduation_graph, keep_remotes=True)]
     for dag in dags:
-        for node in dag.nodes:
-            for exclude in (False, True):
-                assert yield_of(dag, node.id, exclude) == oracle_yield(
-                    dag, node.id, exclude
-                )
+        for exclude in (False, True):
+            yields = all_yields(dag, exclude)
+            for node in dag.nodes:
+                assert yields[node.id] == oracle_yield(dag, node.id, exclude)
 
 
 def test_validate_clean_fixture(graduation_dag):
@@ -192,21 +191,22 @@ def test_validate_reports_dag_cycle_through_remote():
 
 def test_yield_monotonic_and_partitioned(graduation_dag, graduation_graph):
     for dag in (graduation_dag, normalize(graduation_graph)):
+        yields = all_yields(dag)
         for edge in dag.edges:
             if edge.remote:
                 continue
-            assert yield_of(dag, edge.child) <= yield_of(dag, edge.parent)
+            assert yields[edge.child] <= yields[edge.parent]
         for node in dag.nodes:
             children = dag.primary_children.get(node.id, ())
             seen: set[int] = set()
             for edge in children:
-                child_yield = yield_of(dag, edge.child)
+                child_yield = yields[edge.child]
                 assert not (seen & child_yield)
                 seen |= child_yield
 
 
 def test_root_yield_is_total(graduation_dag):
-    assert yield_of(graduation_dag, graduation_dag.root) == frozenset(range(1, 8))
+    assert all_yields(graduation_dag)[graduation_dag.root] == frozenset(range(1, 8))
 
 
 def test_canonicalize_ids_is_stable_and_structure_preserving(graduation_dag):

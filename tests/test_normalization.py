@@ -1,6 +1,6 @@
 import pytest
 
-from synsem.model import ROOT_SENTINEL, CategorySet, StructureError, validate, yield_of
+from synsem.model import ROOT_SENTINEL, CategorySet, StructureError, all_yields, validate
 from synsem.normalization import normalize, top_category_index
 from synsem.treebanks import parse_conllu, parse_ucca_json
 from synsem.ud_conversion import convert_extended
@@ -98,7 +98,7 @@ def test_top_category_identity_when_all_yields_distinct():
     dag = normalize(graph)
     index = top_category_index(dag)
     # One entry per distinct non-empty punctuation-excluded yield.
-    yields = {yield_of(dag, n.id, exclude_punct=True) for n in dag.nodes}
+    yields = set(all_yields(dag, exclude_punct=True).values())
     yields.discard(frozenset())
     assert set(index) == yields
 

@@ -3,8 +3,8 @@
 The corpora come from bench/corpora.py, whose aggregate outputs are the
 same for every seed, so two seeds check one recorded digest each. The six
 benchmark subcommands are checked against bench/references.json (read,
-never written), and the pairing ones also under --pair-by id on a copy
-whose gold and pred files are shuffled. tests/fixtures/output_hashes.json
+never written), and the pairing ones also under --pair-by id on a short
+corpus whose gold and pred files are shuffled. tests/fixtures/output_hashes.json
 covers, on the short corpus, what the references do not: the md and json
 formats and the convert --ud extension flags.
 
@@ -94,14 +94,16 @@ def mismatches(got: dict, expected: dict) -> dict:
 @pytest.mark.parametrize("key", sorted(CORPORA))
 def test_outputs_match_references(tmp_path, key, seed):
     family, sentences = CORPORA[key]
-    corpus = corpora.write_corpus(family, sentences, seed, tmp_path / "by-index")
+    corpus = corpora.write_corpus(family, sentences, seed, tmp_path)
     assert mismatches(run_all(corpus, BENCH_COMMANDS, []), REFERENCES[key]) == {}
-    if family is corpora.SHORT:  # as in the benchmark's by-id workload
-        shuffled = corpora.write_corpus(family, sentences, seed, tmp_path / "by-id",
-                                        shuffle_sides=True)
-        pairing = {name: BENCH_COMMANDS[name] for name in PAIRING}
-        got = run_all(shuffled, pairing, ["--pair-by", "id"])
-        assert mismatches(got, REFERENCES[key]) == {}
+
+
+def test_pair_by_id_outputs_match_references(tmp_path):
+    # As in the benchmark's by-id workload: the short corpus, sides shuffled.
+    corpus = corpora.write_corpus(corpora.SHORT, 40, 1, tmp_path, shuffle_sides=True)
+    pairing = {name: BENCH_COMMANDS[name] for name in PAIRING}
+    got = run_all(corpus, pairing, ["--pair-by", "id"])
+    assert mismatches(got, REFERENCES["short-40"]) == {}
 
 
 def test_formats_and_flags_match_recorded_hashes(tmp_path):

@@ -5,8 +5,8 @@ from synsem.normalization import normalize
 from synsem.treebanks import (
     ParseError,
     UCCAGraph,
+    SentencePairs,
     UCCAToken,
-    pair_sentences,
     parse_conllu,
     parse_ucca_json,
     read_unified,
@@ -262,13 +262,13 @@ def test_write_unified_refuses_broken_dag():
 def test_pair_sentences_positional_and_by_id():
     graphs = parse_ucca_json(read_fixture("mini_ucca.jsonl"))
     trees = parse_conllu(read_fixture("mini_ud.conllu"))
-    positional = pair_sentences(trees, graphs)
+    positional = list(SentencePairs(trees, graphs))
     assert [(t.sentence_id, g.sentence_id) for t, g in positional] == [
         ("after-graduation", "after-graduation"),
         ("unique-gifts", "unique-gifts"),
         ("from-the-moment", "from-the-moment"),
     ]
-    by_id = pair_sentences(trees, list(reversed(graphs)), by="id")
+    by_id = list(SentencePairs(trees, list(reversed(graphs)), by="id"))
     assert positional == by_id
 
 
@@ -276,7 +276,7 @@ def test_pair_sentences_count_mismatch_is_hard_error():
     graphs = parse_ucca_json(read_fixture("mini_ucca.jsonl"))
     trees = parse_conllu(read_fixture("mini_ud.conllu"))
     with pytest.raises(ParseError, match="sentence count mismatch"):
-        pair_sentences(trees[:2], graphs)
+        list(SentencePairs(trees[:2], graphs))
 
 
 def test_pair_sentences_missing_id():
@@ -284,11 +284,11 @@ def test_pair_sentences_missing_id():
     trees = parse_conllu(read_fixture("mini_ud.conllu"))
     renamed = [UCCAGraph("other", g.tokens, g.node_ids, g.edges, g.root) for g in graphs[:1]]
     with pytest.raises(ParseError, match="missing from second corpus"):
-        pair_sentences(trees, renamed + list(graphs[1:]), by="id")
+        list(SentencePairs(trees, renamed + list(graphs[1:]), by="id"))
 
 
 def test_pair_sentences_duplicate_id_in_first_corpus():
     graphs = parse_ucca_json(read_fixture("mini_ucca.jsonl"))
     trees = parse_conllu(read_fixture("mini_ud.conllu"))
     with pytest.raises(ParseError, match="duplicate sentence id: after-graduation"):
-        pair_sentences([trees[0], trees[0]], graphs[:2], by="id")
+        list(SentencePairs([trees[0], trees[0]], graphs[:2], by="id"))
