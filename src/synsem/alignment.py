@@ -11,19 +11,21 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .model import (
     HEAD_LABEL,
     ROOT_SENTINEL,
     CategorySet,
     EvalCounts,
+    SentenceUnits,
     UnifiedDAG,
-    all_yields,
     check_same_tokens,
+    dag_units,
+    mask_tokens,
     render_table,
+    token_mask,
 )
-from .normalization import top_category_index
 from .ud_conversion import ARGUMENT_RELATIONS, EXCLUDED_RELATIONS
 
 PARTICIPANT_CATEGORY = "A"
@@ -46,34 +48,46 @@ class SentenceAlignment:
     unmatched_ucca: frozenset[tuple[frozenset[int], CategorySet]]
 
 
-def _is_excluded(label: CategorySet) -> bool:
-    cats = label.categories
-    return len(cats) == 1 and cats[0] in EXCLUDED_RELATIONS
+class UnitAlignment(NamedTuple):
+    """A SentenceAlignment keyed by yield masks, in lists: what the CLI folds."""
+
+    matched: list[tuple[int, CategorySet, CategorySet]]
+    unmatched_ud: list[tuple[int, CategorySet]]
+    unmatched_ucca: list[tuple[int, CategorySet]]
+
+
+def counted_index(units: SentenceUnits, excluded: frozenset[str] = frozenset()):
+    """The top-category index without the ROOT sentinel and without units
+    labeled with a single relation in excluded."""
+    return {
+        y: label
+        for y, label in units.index().items()
+        if label != ROOT_SENTINEL
+        and not (len(label.categories) == 1 and label.categories[0] in excluded)
+    }
+
+
+def align_units(ud: SentenceUnits, ucca: SentenceUnits) -> UnitAlignment:
+    """Match the units of one sentence pair by yield mask."""
+    check_same_tokens(ud, ucca, AlignmentError)
+    ud_index = counted_index(ud, EXCLUDED_RELATIONS)
+    ucca_index = counted_index(ucca)
+    return UnitAlignment(
+        [(y, label, ucca_index[y]) for y, label in ud_index.items() if y in ucca_index],
+        [(y, label) for y, label in ud_index.items() if y not in ucca_index],
+        [(y, label) for y, label in ucca_index.items() if y not in ud_index],
+    )
 
 
 def align_sentence(ud_dag: UnifiedDAG, ucca_dag: UnifiedDAG) -> SentenceAlignment:
     """Match the units of one converted/normalized sentence pair by yield."""
-    check_same_tokens(ud_dag, ucca_dag, AlignmentError)
-    ud_index = {
-        y: label
-        for y, label in top_category_index(ud_dag).items()
-        if label != ROOT_SENTINEL and not _is_excluded(label)
-    }
-    ucca_index = {
-        y: label
-        for y, label in top_category_index(ucca_dag).items()
-        if label != ROOT_SENTINEL
-    }
-    matched = frozenset(
-        (y, ud_index[y], ucca_index[y]) for y in ud_index.keys() & ucca_index.keys()
+    aligned = align_units(dag_units(ud_dag), dag_units(ucca_dag))
+    return SentenceAlignment(
+        ud_dag.sentence_id,
+        frozenset((mask_tokens(y), a, b) for y, a, b in aligned.matched),
+        frozenset((mask_tokens(y), a) for y, a in aligned.unmatched_ud),
+        frozenset((mask_tokens(y), a) for y, a in aligned.unmatched_ucca),
     )
-    unmatched_ud = frozenset(
-        (y, label) for y, label in ud_index.items() if y not in ucca_index
-    )
-    unmatched_ucca = frozenset(
-        (y, label) for y, label in ucca_index.items() if y not in ud_index
-    )
-    return SentenceAlignment(ud_dag.sentence_id, matched, unmatched_ud, unmatched_ucca)
 
 
 @dataclass
@@ -88,7 +102,7 @@ class ConfusionMatrix:
     no_match_ud: Counter = field(default_factory=Counter)
     no_match_ucca: Counter = field(default_factory=Counter)
 
-    def add(self, alignment: SentenceAlignment) -> "ConfusionMatrix":
+    def add(self, alignment: SentenceAlignment | UnitAlignment) -> "ConfusionMatrix":
         for _, ud_label, ucca_label in alignment.matched:
             self.cells[ud_label.render(), ucca_label.render()] += 1
         for _, ud_label in alignment.unmatched_ud:
@@ -199,41 +213,32 @@ class StatReport:
         return "".join(line + "\n" for line in lines)
 
 
-def _predicate_units(dag: UnifiedDAG) -> list[frozenset[int]]:
-    """Head-word yields of units holding at least one argument relation."""
-    yields = all_yields(dag, exclude_punct=True)
-    result = []
-    for node in dag.nodes:
-        if node.is_pre_terminal:
+def _predicate_heads(ud: SentenceUnits) -> list[int]:
+    """Head-word yield masks of units holding at least one argument relation."""
+    parent, label = ud.parent, ud.label
+    holders = set()
+    head_child: dict[int, int] = {}
+    for u in ud.order:
+        p = parent[u]
+        if p < 0:
             continue
-        child_edges = dag.primary_children.get(node.id, ())
-        has_argument = any(
-            len(e.label.categories) == 1
-            and e.label.categories[0] in ARGUMENT_RELATIONS
-            for e in child_edges
-        )
-        if not has_argument:
-            continue
-        head_yield = next(
-            (yields[e.child] for e in child_edges if HEAD_LABEL in e.label),
-            None,
-        )
-        if head_yield:
-            result.append(head_yield)
-    return result
+        cats = label[u].categories
+        if len(cats) == 1 and cats[0] in ARGUMENT_RELATIONS:
+            holders.add(p)
+        elif HEAD_LABEL in cats:
+            head_child.setdefault(p, u)
+    yields = ud.yields
+    return [yields[head_child[p]] for p in holders if p in head_child and yields[head_child[p]]]
 
 
-def _scene_yields(dag: UnifiedDAG) -> set[frozenset[int]]:
-    """Punctuation-excluded yields of units with a Participant child."""
-    yields = all_yields(dag, exclude_punct=True)
-    scenes = set()
-    for node in dag.nodes:
-        for edge in dag.primary_children.get(node.id, ()):
-            if PARTICIPANT_CATEGORY in edge.label:
-                if yields[node.id]:
-                    scenes.add(yields[node.id])
-                break
-    return scenes
+def _scene_yields(ucca: SentenceUnits) -> set[int]:
+    """Non-empty yield masks of units with at least one Participant child."""
+    parent, label, yields = ucca.parent, ucca.label, ucca.yields
+    return {
+        yields[parent[u]]
+        for u in ucca.order
+        if parent[u] >= 0 and PARTICIPANT_CATEGORY in label[u].categories and yields[parent[u]]
+    }
 
 
 @dataclass
@@ -262,8 +267,17 @@ class StatsAccumulator:
     def add(
         self, alignment: SentenceAlignment, ud_dag: UnifiedDAG, ucca_dag: UnifiedDAG
     ) -> "StatsAccumulator":
-        matched_yields = {y for y, _, _ in alignment.matched}
-        for y, ud_label, ucca_label in alignment.matched:
+        masked = UnitAlignment(
+            [(token_mask(y), a, b) for y, a, b in alignment.matched],
+            [(token_mask(y), a) for y, a in alignment.unmatched_ud],
+            [(token_mask(y), a) for y, a in alignment.unmatched_ucca],
+        )
+        return self.add_units(masked, dag_units(ud_dag), dag_units(ucca_dag))
+
+    def add_units(
+        self, alignment: UnitAlignment, ud: SentenceUnits, ucca: SentenceUnits
+    ) -> "StatsAccumulator":
+        for _, ud_label, ucca_label in alignment.matched:
             r = ud_label.render()
             if r in ARGUMENT_RELATIONS:
                 self.arg_total += 1
@@ -277,30 +291,25 @@ class StatsAccumulator:
                 self.head_total += 1
                 if set(ucca_label.categories) & SEMANTIC_HEAD_CATEGORIES:
                     self.head_semantic += 1
-        for y, ud_label in alignment.unmatched_ud:
+        for _, ud_label in alignment.unmatched_ud:
             r = ud_label.render()
             if r in ARGUMENT_RELATIONS:
                 self.arg_total += 1
             if r == HEAD_LABEL:
                 self.head_total += 1
                 self.head_unmatched += 1
-        for y, ucca_label in alignment.unmatched_ucca:
+        for _, ucca_label in alignment.unmatched_ucca:
             if PARTICIPANT_CATEGORY in ucca_label:
                 self.a_total += 1
 
-        scenes = _scene_yields(ucca_dag)
-        predicates = _predicate_units(ud_dag)
-        matched_scenes = {y for y in scenes if y in matched_yields}
+        heads = _predicate_heads(ud)
+        scenes = _scene_yields(ucca)
+        matched = {y for y, _, _ in alignment.matched}
+        matched_scenes = [y for y in scenes if y in matched]
         self.scene_total += len(scenes)
-        self.scene_matched += sum(
-            1 for y in matched_scenes if any(head <= y for head in predicates)
-        )
-        self.pred_total += len(predicates)
-        self.pred_matched += sum(
-            1
-            for head_yield in predicates
-            if any(head_yield <= y for y in matched_scenes)
-        )
+        self.scene_matched += sum(any(h & ~y == 0 for h in heads) for y in matched_scenes)
+        self.pred_total += len(heads)
+        self.pred_matched += sum(any(h & ~y == 0 for y in matched_scenes) for h in heads)
         return self
 
     def report(self) -> StatReport:

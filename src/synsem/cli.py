@@ -23,6 +23,7 @@ verbosity.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -34,13 +35,19 @@ from .alignment import (
     AlignmentError,
     ConfusionMatrix,
     StatsAccumulator,
-    align_sentence,
+    align_units,
     overlap_f1,
     render_matrix,
 )
-from .evaluation import EvaluationError, FineGrainedScorer, evaluate_ucca, render_report
+from .evaluation import (
+    EVAL_ROWS,
+    EvaluationError,
+    FineGrainedScorer,
+    evaluate_units,
+    render_report,
+)
 from .model import EvalCounts, StructureError, render_table
-from .normalization import normalize
+from .normalization import graph_units, normalize
 from .treebanks import (
     ParseError,
     SentencePairs,
@@ -48,7 +55,7 @@ from .treebanks import (
     iter_ucca_json,
     unified_line,
 )
-from .ud_conversion import convert_extended
+from .ud_conversion import convert_extended, tree_units
 
 log = logging.getLogger("synsem")
 
@@ -59,10 +66,6 @@ EXIT_DATA = 2
 DATA_ERRORS = (ParseError, StructureError, AlignmentError, EvaluationError, OSError)
 # Errors raised while working on one sentence pair, as opposed to reading it.
 PAIR_ERRORS = (StructureError, AlignmentError, EvaluationError)
-
-EVAL_ORDER = (
-    ("primary", True), ("primary", False), ("remote", True), ("remote", False),
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,9 +143,11 @@ def _syntax_semantics_pairs(args) -> SentencePairs:
 
 
 def _align_pair(tree, graph):
-    ud_dag = convert_extended(tree)
-    ucca_dag = normalize(graph)
-    return align_sentence(ud_dag, ucca_dag), ud_dag, ucca_dag
+    """One sentence pair as unit arrays, aligned by yield mask. A structural
+    error in the graph is raised before a token mismatch."""
+    ucca = graph_units(graph)
+    ud = tree_units(tree)
+    return align_units(ud, ucca), ud, ucca
 
 
 def cmd_confusion(args) -> int:
@@ -161,29 +166,33 @@ def cmd_confusion(args) -> int:
 def cmd_stats(args) -> int:
     stats = StatsAccumulator()
     _fold(_syntax_semantics_pairs(args),
-          lambda tree, graph: stats.add(*_align_pair(tree, graph)))
+          lambda tree, graph: stats.add_units(*_align_pair(tree, graph)))
     _write(args.out, stats.report().render())
     return EXIT_OK
+
+
+def _evaluate_pair(totals: dict, scorer: FineGrainedScorer, gold_graph, pred_graph,
+                   tree=None):
+    """Fold one gold/pred pair, and its gold tree under --fine-grained.
+
+    Token checks run gold against pred, then the tree against gold and
+    against pred."""
+    gold = graph_units(gold_graph)
+    pred = graph_units(pred_graph)
+    for row, counts in evaluate_units(gold, pred).items():
+        totals[row] += counts
+    if tree is not None:
+        scorer.add_units(gold, pred, tree_units(tree))
 
 
 def cmd_evaluate(args) -> int:
     streams = [iter_ucca_json(_lines(args.gold)), iter_ucca_json(_lines(args.pred))]
     if args.fine_grained:
         streams.append(iter_conllu(_lines(args.ud)))
-    totals = dict.fromkeys(EVAL_ORDER, EvalCounts())
+    totals = dict.fromkeys(EVAL_ROWS, EvalCounts())
     scorer = FineGrainedScorer()
-
-    def step(gold_graph, pred_graph, tree=None):
-        # The scorer reads primary edges only, so the remote-keeping DAGs
-        # serve it as well.
-        gold = normalize(gold_graph, keep_remotes=True)
-        pred = normalize(pred_graph, keep_remotes=True)
-        for edge_class, labeled in EVAL_ORDER:
-            totals[edge_class, labeled] += evaluate_ucca(gold, pred, labeled, edge_class)
-        if tree is not None:
-            scorer.add(gold, pred, convert_extended(tree))
-
-    _fold(SentencePairs(*streams, by=args.pair_by), step)
+    _fold(SentencePairs(*streams, by=args.pair_by),
+          functools.partial(_evaluate_pair, totals, scorer))
     rows = scorer.rows() if args.fine_grained else None
     _write(args.out, _format_evaluation(totals, rows, args.format))
     return EXIT_OK

@@ -13,38 +13,59 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 
+from .alignment import counted_index
 from .model import (
-    ROOT_SENTINEL,
     EvalCounts,
+    SentenceUnits,
     UnifiedDAG,
-    all_yields,
     check_same_tokens,
+    dag_units,
     render_table,
 )
-from .normalization import top_category_index
 from .ud_conversion import EXCLUDED_RELATIONS
 
 UNBUCKETED = "(none)"
+
+#: The corpus rows of evaluate, as (edge class, labeled), in output order.
+EVAL_ROWS = (("primary", True), ("primary", False), ("remote", True), ("remote", False))
 
 
 class EvaluationError(Exception):
     """Gold and prediction do not describe the same sentences."""
 
 
-def _edge_units(dag: UnifiedDAG, edge_class: str, labeled: bool) -> Counter:
-    """Multiset of units of one edge class; no deduplication, every edge
-    counts. Units with punctuation-only yields are ignored."""
-    yields = all_yields(dag, exclude_punct=True)
-    want_remote = edge_class == "remote"
-    units: Counter = Counter()
-    for edge in dag.edges:
-        if edge.remote != want_remote:
-            continue
-        y = yields[edge.child]
-        if not y:
-            continue
-        units[(y, edge.label) if labeled else y] += 1
-    return units
+def _edge_units(units: SentenceUnits) -> dict[tuple[str, bool], Counter]:
+    """Multisets of units per row of EVAL_ROWS: (yield mask, categories)
+    when labeled, else the mask alone. No deduplication, every edge counts;
+    units with punctuation-only yields are ignored."""
+    yields, parent, label = units.yields, units.parent, units.label
+    rows: dict[tuple[str, bool], Counter] = {row: Counter() for row in EVAL_ROWS}
+    primary = ((u, label[u]) for u in units.order if parent[u] >= 0)
+    for edge_class, edges in (("primary", primary), ("remote", units.remotes)):
+        labeled, unlabeled = rows[edge_class, True], rows[edge_class, False]
+        for u, edge_label in edges:
+            if yields[u]:
+                labeled[yields[u], edge_label.categories] += 1
+                unlabeled[yields[u]] += 1
+    return rows
+
+
+def evaluate_units(
+    gold: SentenceUnits, pred: SentenceUnits
+) -> dict[tuple[str, bool], EvalCounts]:
+    """Score one predicted sentence against gold on every row of EVAL_ROWS.
+
+    Correctness is the size of the largest multiset intersection of
+    (yield, label) pairs, ignoring labels for the unlabeled rows.
+    """
+    check_same_tokens(gold, pred, EvaluationError)
+    gold_rows, pred_rows = _edge_units(gold), _edge_units(pred)
+    scores = {}
+    for row in EVAL_ROWS:
+        g, p = gold_rows[row], pred_rows[row]
+        n_correct = sum(min(count, p[key]) for key, count in g.items())
+        scores[row] = EvalCounts(sum(g.values()), sum(p.values()), n_correct)
+    return scores
 
 
 def evaluate_ucca(
@@ -61,17 +82,7 @@ def evaluate_ucca(
     """
     if edge_class not in ("primary", "remote"):
         raise ValueError(f"unknown edge class: {edge_class!r}")
-    check_same_tokens(gold, pred, EvaluationError)
-    gold_units = _edge_units(gold, edge_class, labeled)
-    pred_units = _edge_units(pred, edge_class, labeled)
-    n_correct = sum(
-        min(count, pred_units[key]) for key, count in gold_units.items()
-    )
-    return EvalCounts(
-        n_gold=sum(gold_units.values()),
-        n_pred=sum(pred_units.values()),
-        n_correct=n_correct,
-    )
+    return evaluate_units(dag_units(gold), dag_units(pred))[edge_class, labeled]
 
 
 @dataclass(frozen=True)
@@ -110,32 +121,22 @@ class FineGrainedScorer:
         self.buckets: dict[str, _Bucket] = {}
 
     def add(self, gold_ucca: UnifiedDAG, pred_ucca: UnifiedDAG, gold_ud: UnifiedDAG):
-        check_same_tokens(gold_ud, gold_ucca, EvaluationError)
-        check_same_tokens(gold_ud, pred_ucca, EvaluationError)
-        relation_of = {}
-        for y, label in top_category_index(gold_ud).items():
-            if label == ROOT_SENTINEL:
-                continue
-            cats = label.categories
-            if len(cats) == 1 and cats[0] in EXCLUDED_RELATIONS:
-                continue
-            relation_of[y] = label.render()
-        gold_index = {
-            y: label
-            for y, label in top_category_index(gold_ucca).items()
-            if label != ROOT_SENTINEL
+        self.add_units(dag_units(gold_ucca), dag_units(pred_ucca), dag_units(gold_ud))
+
+    def add_units(self, gold: SentenceUnits, pred: SentenceUnits, ud: SentenceUnits):
+        check_same_tokens(ud, gold, EvaluationError)
+        check_same_tokens(ud, pred, EvaluationError)
+        relation_of = {
+            y: label.render() for y, label in counted_index(ud, EXCLUDED_RELATIONS).items()
         }
-        pred_index = {
-            y: label
-            for y, label in top_category_index(pred_ucca).items()
-            if label != ROOT_SENTINEL
-        }
+        gold_index = counted_index(gold)
+        pred_index = counted_index(pred)
 
         for y, relation in relation_of.items():
             bucket = self.buckets.setdefault(relation, _Bucket())
             bucket.total += 1
             self._score_yield(bucket, y, gold_index, pred_index)
-        for y in (set(gold_index) | set(pred_index)) - set(relation_of):
+        for y in (gold_index.keys() | pred_index.keys()) - relation_of.keys():
             bucket = self.buckets.setdefault(UNBUCKETED, _Bucket())
             self._score_yield(bucket, y, gold_index, pred_index)
 
@@ -146,7 +147,7 @@ class FineGrainedScorer:
         if in_gold:
             bucket.match_gold += 1
             bucket.gold_labels[gold_index[y].render()] += 1
-            bucket.gold_words += len(y)
+            bucket.gold_words += y.bit_count()
         if in_pred:
             bucket.match_pred += 1
         if in_gold and in_pred:

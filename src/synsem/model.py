@@ -16,7 +16,7 @@ and nothing here assumes contiguity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -181,16 +181,6 @@ class UnifiedDAG:
         return {nid: tuple(edges) for nid, edges in children.items()}
 
     @cached_property
-    def primary_parent(self) -> dict[str, Edge]:
-        # Assumes at most one primary parent per node; validate() reports
-        # graphs where that does not hold.
-        parents: dict[str, Edge] = {}
-        for edge in self.edges:
-            if not edge.remote:
-                parents.setdefault(edge.child, edge)
-        return parents
-
-    @cached_property
     def punct_indices(self) -> frozenset[int]:
         return frozenset(t.index for t in self.terminals if t.is_punct)
 
@@ -209,42 +199,133 @@ def same_structure(a: UnifiedDAG, b: UnifiedDAG) -> bool:
     )
 
 
-def all_yields(dag: UnifiedDAG, exclude_punct: bool = False) -> dict[str, frozenset[int]]:
-    """Yields of every node, computed in one bottom-up pass over the tree."""
-    yields: dict[str, frozenset[int]] = {}
+def token_mask(indices: Iterable[int]) -> int:
+    """The yield mask of a set of token indices: bit i for token i."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
+def mask_tokens(mask: int) -> frozenset[int]:
+    """The token indices of a yield mask."""
+    tokens = []
+    while mask:
+        low = mask & -mask
+        tokens.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(tokens)
+
+
+def top_down(parent: Sequence[int]) -> list[int]:
+    """Indices ordered so that every parent comes before its children.
+
+    parent[u] is the index of u's parent, or -1 if u has none. Each unit is
+    placed by climbing its parent chain to a placed unit, so the walk is
+    linear and needs no recursion; units whose chain runs into a cycle are
+    left out.
+    """
+    state = bytearray(len(parent))  # 0 new, 1 climbed but not placed, 2 placed
+    order: list[int] = []
+    for start in range(len(parent)):
+        climb = []
+        u = start
+        while u >= 0 and not state[u]:
+            state[u] = 1
+            climb.append(u)
+            u = parent[u]
+        if u < 0 or state[u] == 2:
+            for v in reversed(climb):
+                state[v] = 2
+                order.append(v)
+    return order
+
+
+@dataclass(slots=True, eq=False)
+class SentenceUnits:
+    """One sentence as unit arrays: what every comparison is folded over.
+
+    Unit u has the primary parent parent[u] (-1 for none), the label of its
+    incoming primary edge label[u], and own[u], the mask of the
+    non-punctuation tokens it covers directly (see token_mask). order lists
+    the units parents first; remotes holds one (unit, label) per remote
+    edge. yields[u] is u's own mask ORed with those of all its descendants,
+    from one pass up the order.
+    """
+
+    sentence_id: str
+    forms: Sequence[str]
+    parent: list[int]
+    label: list
+    own: list[int]
+    order: list[int]
+    root: int
+    remotes: Sequence[tuple[int, CategorySet]] = ()
+    yields: list[int] = field(init=False)
+
+    def __post_init__(self):
+        yields = self.own[:]
+        parent = self.parent
+        for u in reversed(self.order):
+            p = parent[u]
+            if p >= 0:
+                yields[p] |= yields[u]
+        self.yields = yields
+
+    def index(self) -> dict[int, CategorySet]:
+        """Map each distinct non-empty yield mask to its topmost label.
+
+        A unit is indexed when its yield is non-empty and differs from its
+        parent's. Units that share a yield always form an ancestor chain,
+        so this keeps the one nearest the root. The root maps to
+        ROOT_SENTINEL.
+        """
+        parent, yields, label, root = self.parent, self.yields, self.label, self.root
+        index: dict[int, CategorySet] = {}
+        for u in self.order:
+            y = yields[u]
+            p = parent[u]
+            if y and (p < 0 or y != yields[p]):
+                index[y] = ROOT_SENTINEL if u == root else label[u]
+        return index
+
+
+def dag_units(dag: UnifiedDAG, exclude_punct: bool = True) -> SentenceUnits:
+    """The unit arrays of a unified DAG; unit i is dag.nodes[i].
+
+    A node's parent is the parent of its first primary incoming edge;
+    validate reports nodes with more than one. Raises StructureError on a
+    primary cycle.
+    """
+    pos = {node.id: i for i, node in enumerate(dag.nodes)}
+    parent = [-1] * len(dag.nodes)
+    label: list = [None] * len(dag.nodes)
+    remotes = []
+    for edge in dag.edges:
+        child = pos[edge.child]
+        if edge.remote:
+            remotes.append((child, edge.label))
+        elif parent[child] < 0:
+            parent[child] = pos[edge.parent]
+            label[child] = edge.label
     punct = dag.punct_indices if exclude_punct else frozenset()
-
-    def visit(node_id: str, on_path: set[str]) -> frozenset[int]:
-        if node_id in yields:
-            return yields[node_id]
-        if node_id in on_path:
-            raise StructureError(f"primary-cycle: reached {node_id} twice")
-        on_path.add(node_id)
-        node = dag.node_by_id[node_id]
-        covered: set[int] = set(node.covered_terminals) - punct
-        for edge in dag.primary_children.get(node_id, ()):
-            covered |= visit(edge.child, on_path)
-        on_path.discard(node_id)
-        result = frozenset(covered)
-        yields[node_id] = result
-        return result
-
-    for node in dag.nodes:
-        visit(node.id, set())
-    return yields
+    own = [
+        token_mask(i for i in node.covered_terminals if i not in punct) for node in dag.nodes
+    ]
+    order = top_down(parent)
+    if len(order) < len(parent):
+        placed = set(order)
+        stuck = next(node.id for i, node in enumerate(dag.nodes) if i not in placed)
+        raise StructureError(f"primary-cycle: reached {stuck} twice")
+    forms = [t.form for t in dag.terminals]
+    return SentenceUnits(dag.sentence_id, forms, parent, label, own, order,
+                         pos[dag.root], remotes)
 
 
-def primary_depths(dag: UnifiedDAG) -> dict[str, int]:
-    """Distance of each node from the root along primary edges."""
-    depths = {dag.root: 0}
-    queue = [dag.root]
-    while queue:
-        current = queue.pop(0)
-        for edge in dag.primary_children.get(current, ()):
-            if edge.child not in depths:
-                depths[edge.child] = depths[current] + 1
-                queue.append(edge.child)
-    return depths
+def all_yields(dag: UnifiedDAG, exclude_punct: bool = False) -> dict[str, frozenset[int]]:
+    """Yields of every node, from the unit arrays of dag_units."""
+    yields = dag_units(dag, exclude_punct).yields
+    return {node.id: mask_tokens(y) for node, y in zip(dag.nodes, yields)}
 
 
 def validate(dag: UnifiedDAG) -> list[Violation]:
@@ -264,87 +345,107 @@ def validate(dag: UnifiedDAG) -> list[Violation]:
         violations.append(Violation("root-missing", dag.root))
         return violations
 
-    seen_edges: set[Edge] = set()
-    primary_parents: dict[str, list[str]] = {}
-    for edge in dag.edges:
-        if edge.parent not in id_set or edge.child not in id_set:
-            violations.append(
-                Violation("dangling-edge", f"{edge.parent} -> {edge.child}")
-            )
+    # Primary edges into each node: the first, and all of them where there
+    # are several. Duplicates are looked for among these (primary) or in
+    # remote_seen; a child list per node would cost a container per node.
+    first_in: dict[str, Edge] = {}
+    all_in: dict[str, list[Edge]] = {}
+    remote_seen: set[Edge] = set()
+    # Primary children as linked lists over edge positions: last[p] is p's
+    # latest child edge, before[i] the one added before edge i.
+    last: dict[str, int] = {}
+    before = [-1] * len(dag.edges)
+    for i, edge in enumerate(dag.edges):
+        parent, child = edge.parent, edge.child
+        if parent not in id_set or child not in id_set:
+            violations.append(Violation("dangling-edge", f"{parent} -> {child}"))
             continue
-        if edge in seen_edges:
-            violations.append(
-                Violation("duplicate-edge", f"{edge.parent} -> {edge.child}")
-            )
-        seen_edges.add(edge)
+        if edge.remote:
+            duplicate = edge in remote_seen
+            remote_seen.add(edge)
+        elif child in first_in:
+            earlier = all_in.setdefault(child, [first_in[child]])
+            duplicate = edge in earlier
+            earlier.append(edge)
+        else:
+            first_in[child] = edge
+            duplicate = False
+        if duplicate:
+            violations.append(Violation("duplicate-edge", f"{parent} -> {child}"))
         if not edge.remote:
-            primary_parents.setdefault(edge.child, []).append(edge.parent)
+            before[i] = last.get(parent, -1)
+            last[parent] = i
 
-    for child, parents in primary_parents.items():
-        if len(parents) > 1:
-            violations.append(
-                Violation("multiple-primary-parent", f"{child} <- {sorted(parents)}")
-            )
-    if dag.root in primary_parents:
+    for child in first_in if all_in else ():
+        if child in all_in:
+            parents = sorted(e.parent for e in all_in[child])
+            violations.append(Violation("multiple-primary-parent", f"{child} <- {parents}"))
+    if dag.root in first_in:
         violations.append(Violation("root-incoming", dag.root))
 
     # Reachability and cycles over primary edges.
-    reached: set[str] = set()
+    reached = {dag.root}
     stack = [dag.root]
     while stack:
-        current = stack.pop()
-        if current in reached:
-            continue
-        reached.add(current)
-        for edge in dag.edges:
-            if not edge.remote and edge.parent == current and edge.child in id_set:
-                stack.append(edge.child)
+        i = last.get(stack.pop(), -1)
+        while i >= 0:
+            child = dag.edges[i].child
+            if child not in reached:
+                reached.add(child)
+                stack.append(child)
+            i = before[i]
 
-    cycle_nodes = _find_cycle(id_set, dag.edges, primary_only=True)
-    if cycle_nodes:
-        violations.append(Violation("primary-cycle", " -> ".join(cycle_nodes)))
-    for node in dag.nodes:
-        if node.id not in reached and node.id not in (cycle_nodes or ()):
-            violations.append(Violation("unreachable", node.id))
+    # With one primary parent per node and none for the root, a cycle can
+    # only sit where the root does not reach.
+    cycle_nodes = None
+    if all_in or dag.root in first_in or len(reached) < len(id_set):
+        cycle_nodes = _find_cycle(_adjacency(dag, id_set, remote=False))
+        if cycle_nodes:
+            violations.append(Violation("primary-cycle", " -> ".join(cycle_nodes)))
+        for node in dag.nodes:
+            if node.id not in reached and node.id not in (cycle_nodes or ()):
+                violations.append(Violation("unreachable", node.id))
 
-    if not cycle_nodes:
-        full_cycle = _find_cycle(id_set, dag.edges, primary_only=False)
+    # Without remote edges the full graph is the primary one, checked above.
+    if not cycle_nodes and remote_seen:
+        full_cycle = _find_cycle(_adjacency(dag, id_set, remote=True))
         if full_cycle:
             violations.append(Violation("dag-cycle", " -> ".join(full_cycle)))
 
-    coverage: dict[int, list[str]] = {}
+    owner: dict[int, str] = {}
+    double_cover: dict[int, list[str]] = {}
     for node in dag.nodes:
         for index in node.covered_terminals:
-            coverage.setdefault(index, []).append(node.id)
+            if index in owner:
+                double_cover.setdefault(index, [owner[index]]).append(node.id)
+            else:
+                owner[index] = node.id
     for term in dag.terminals:
-        owners = coverage.get(term.index, [])
-        if not owners:
+        if term.index not in owner:
             violations.append(Violation("uncovered-terminal", str(term.index)))
-        elif len(owners) > 1:
-            violations.append(
-                Violation(
-                    "double-cover", f"terminal {term.index} <- {sorted(owners)}"
-                )
-            )
-    for index in coverage:
+        elif term.index in double_cover:
+            owners = sorted(double_cover[term.index])
+            violations.append(Violation("double-cover", f"terminal {term.index} <- {owners}"))
+    for index in owner:
         if index < 1 or index > len(dag.terminals):
             violations.append(Violation("covered-out-of-range", str(index)))
 
     return violations
 
 
-def _find_cycle(
-    ids: set[str], edges: Iterable[Edge], primary_only: bool
-) -> list[str] | None:
+def _adjacency(dag: UnifiedDAG, ids: set[str], remote: bool) -> dict[str, list[str]]:
+    """Children of every node in ids, over primary edges and, if remote, the
+    remote ones too."""
     adjacency: dict[str, list[str]] = {i: [] for i in ids}
-    for edge in edges:
-        if primary_only and edge.remote:
-            continue
-        if edge.parent in adjacency and edge.child in ids:
+    for edge in dag.edges:
+        if (remote or not edge.remote) and edge.parent in ids and edge.child in ids:
             adjacency[edge.parent].append(edge.child)
+    return adjacency
 
+
+def _find_cycle(adjacency: dict[str, list[str]]) -> list[str] | None:
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = dict.fromkeys(ids, WHITE)
+    color = dict.fromkeys(adjacency, WHITE)
 
     def dfs(start: str) -> list[str] | None:
         stack: list[tuple[str, Iterator[str]]] = [(start, iter(adjacency[start]))]
@@ -368,7 +469,7 @@ def _find_cycle(
                 stack.pop()
         return None
 
-    for node_id in sorted(ids):
+    for node_id in sorted(adjacency):
         if color[node_id] == WHITE:
             cycle = dfs(node_id)
             if cycle:
@@ -411,14 +512,13 @@ def canonicalize_ids(dag: UnifiedDAG) -> UnifiedDAG:
     return UnifiedDAG(dag.sentence_id, dag.terminals, nodes, edges, mapping[dag.root])
 
 
-def check_same_tokens(a: UnifiedDAG, b: UnifiedDAG, error_cls: type[Exception]):
+def check_same_tokens(a: SentenceUnits, b: SentenceUnits, error_cls: type[Exception]):
     """Raise error_cls unless both sides have the same token forms.
 
     The message names the first differing position, or else the two token
     counts, and a's sentence id.
     """
-    a_forms = [t.form for t in a.terminals]
-    b_forms = [t.form for t in b.terminals]
+    a_forms, b_forms = a.forms, b.forms
     if a_forms == b_forms:
         return
     for pos, (x, y) in enumerate(zip(a_forms, b_forms), 1):

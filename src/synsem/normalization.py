@@ -15,16 +15,17 @@ from __future__ import annotations
 from .model import (
     NON_TERMINAL,
     PRE_TERMINAL,
-    ROOT_SENTINEL,
     CategorySet,
     Node,
+    SentenceUnits,
     StructureError,
     Terminal,
     UnifiedDAG,
-    all_yields,
-    primary_depths,
+    dag_units,
+    mask_tokens,
+    top_down,
 )
-from .treebanks import TERMINAL_REF, UCCAGraph
+from .treebanks import UCCAGraph
 
 PUNCT_CATEGORY = "U"
 
@@ -37,38 +38,65 @@ def normalize(graph: UCCAGraph, *, keep_remotes: bool = False) -> UnifiedDAG:
     verbatim. Raises StructureError when the primary edges do not form a
     tree covering every unit and terminal.
     """
-    punct = set()
-    for edge in graph.edges:
-        if PUNCT_CATEGORY in edge.label:
-            match = TERMINAL_REF.match(edge.child)
-            if match:
-                punct.add(int(match.group(1)))
+    units = graph_units(graph)
+    k = len(graph.node_ids)
+    # A terminal's own mask is empty exactly when it is punctuation.
     terminals = tuple(
-        Terminal(i, tok.form, tok.punct or i in punct)
+        Terminal(i, tok.form, not units.own[k + i - 1])
         for i, tok in enumerate(graph.tokens, 1)
     )
-
     nodes: list[Node] = [Node(nid, NON_TERMINAL) for nid in graph.node_ids]
     nodes.extend(
         Node(f"t{i}", PRE_TERMINAL, (i,)) for i in range(1, len(graph.tokens) + 1)
     )
     edges = graph.edges if keep_remotes else tuple(e for e in graph.edges if not e.remote)
-    dag = UnifiedDAG(graph.sentence_id, terminals, tuple(nodes), edges, graph.root)
+    return UnifiedDAG(graph.sentence_id, terminals, tuple(nodes), edges, graph.root)
 
-    reached = {dag.root}
-    stack = [dag.root]
-    while stack:
-        for edge in dag.primary_children.get(stack.pop(), ()):
-            if edge.child not in reached:
-                reached.add(edge.child)
-                stack.append(edge.child)
-    unreachable = [node.id for node in dag.nodes if node.id not in reached]
-    if unreachable:
+
+def graph_units(graph: UCCAGraph) -> SentenceUnits:
+    """The unit arrays of normalize(graph, keep_remotes=True), without the DAG.
+
+    Unit i < k is the i-th declared node, unit k+i-1 the pre-terminal of
+    token i; parents come from the primary edges and remote edges are kept
+    as a side list. A token is punctuation if it says so or if any edge,
+    remote ones included, attaches it with a U label. Raises
+    StructureError naming the units the root does not reach.
+    """
+    k = len(graph.node_ids)
+    pos = {nid: i for i, nid in enumerate(graph.node_ids)}
+    size = k + len(graph.tokens)
+    parent = [-1] * size
+    label: list = [None] * size
+    punct = [tok.punct for tok in graph.tokens]
+    remotes = []
+    for edge in graph.edges:
+        child = pos.get(edge.child)
+        if child is None:  # a terminal reference "t<i>"
+            child = k - 1 + int(edge.child[1:])
+            if PUNCT_CATEGORY in edge.label.categories:
+                punct[child - k] = True
+        if edge.remote:
+            remotes.append((child, edge.label))
+        else:
+            parent[child] = pos[edge.parent]
+            label[child] = edge.label
+    own = [0] * k
+    own.extend(0 if is_punct else 1 << i for i, is_punct in enumerate(punct, 1))
+    root = pos[graph.root]
+    order = top_down(parent)
+    reached = bytearray(size)
+    reached[root] = 1
+    for u in order:
+        if parent[u] >= 0:
+            reached[u] = reached[parent[u]]
+    if not all(reached):
+        ids = [*graph.node_ids, *(f"t{i}" for i in range(1, len(graph.tokens) + 1))]
+        unreachable = ", ".join(ids[u] for u in range(size) if not reached[u])
         raise StructureError(
-            f"unreachable by primary edges: {', '.join(unreachable)}, "
-            f"sentence {graph.sentence_id}"
+            f"unreachable by primary edges: {unreachable}, sentence {graph.sentence_id}"
         )
-    return dag
+    forms = [tok.form for tok in graph.tokens]
+    return SentenceUnits(graph.sentence_id, forms, parent, label, own, order, root, remotes)
 
 
 def top_category_index(dag: UnifiedDAG) -> dict[frozenset[int], CategorySet]:
@@ -78,20 +106,4 @@ def top_category_index(dag: UnifiedDAG) -> dict[frozenset[int], CategorySet]:
     whole-sentence yield (the root's) maps to the ROOT sentinel. Empty
     yields (punctuation-only units) are not indexed.
     """
-    yields = all_yields(dag, exclude_punct=True)
-    depths = primary_depths(dag)
-    best: dict[frozenset[int], str] = {}
-    for node in dag.nodes:
-        y = yields[node.id]
-        if not y:
-            continue
-        current = best.get(y)
-        if current is None or depths[node.id] < depths[current]:
-            best[y] = node.id
-    index: dict[frozenset[int], CategorySet] = {}
-    for y, node_id in best.items():
-        if node_id == dag.root:
-            index[y] = ROOT_SENTINEL
-        else:
-            index[y] = dag.primary_parent[node_id].label
-    return index
+    return {mask_tokens(y): label for y, label in dag_units(dag).index().items()}

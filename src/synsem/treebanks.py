@@ -31,6 +31,7 @@ from .model import (
     StructureError,
     Terminal,
     UnifiedDAG,
+    top_down,
     validate,
 )
 
@@ -184,23 +185,9 @@ def _build_tree(sid: str, tokens: list[UDToken], token_lines: list[int]) -> UDTr
     for tok, tline in zip(tokens, token_lines):
         if tok.head < 0 or tok.head > len(tokens):
             raise ParseError(f"head out of range, line {tline}")
-    _check_head_cycles(tokens, sid)
+    if len(top_down([-1, *(tok.head for tok in tokens)])) <= len(tokens):
+        raise ParseError(f"head cycle, sentence {sid}")
     return UDTree(sid, tuple(tokens))
-
-
-def _check_head_cycles(tokens: list[UDToken], sid: str):
-    state = [0] * (len(tokens) + 1)  # 0 unseen, 1 on path, 2 done
-    for tok in tokens:
-        path = []
-        current = tok.index
-        while current != 0 and state[current] == 0:
-            state[current] = 1
-            path.append(current)
-            current = tokens[current - 1].head
-        if current != 0 and state[current] == 1:
-            raise ParseError(f"head cycle, sentence {sid}")
-        for index in path:
-            state[index] = 2
 
 
 def parse_ucca_json(text: str | Iterable[str]) -> list[UCCAGraph]:
@@ -219,65 +206,90 @@ def iter_ucca_json(text: str | Iterable[str]) -> Iterator[UCCAGraph]:
             obj = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON, sentence {counter}: {exc}") from exc
-        sid = str(obj.get("id", counter))
-        tokens = []
-        for tok in obj.get("tokens", ()):
-            punct = tok.get("punct", False)
-            if not isinstance(punct, bool):
-                raise ParseError(f"token 'punct' must be true or false, sentence {sid}")
-            tokens.append(UCCAToken(tok["text"], punct))
-        node_ids = []
-        seen_ids: set[str] = set()
-        for node in obj.get("nodes", ()):
-            nid = str(node["id"])
-            if nid in seen_ids:
-                raise ParseError(f"duplicate node id: {nid}, sentence {sid}")
-            if TERMINAL_REF.match(nid):
-                raise ParseError(
-                    f"node id {nid} collides with terminal references, sentence {sid}"
-                )
-            seen_ids.add(nid)
-            node_ids.append(nid)
+        if not isinstance(obj, dict):
+            raise ParseError(f"expected a JSON object, sentence {counter}")
+        yield _graph(obj, str(obj.get("id", counter)))
 
-        edges = []
-        primary_parents: dict[str, str] = {}
-        for entry in obj.get("edges", ()):
-            parent, child = str(entry["parent"]), str(entry["child"])
-            if parent not in seen_ids:
-                raise ParseError(f"dangling node reference: {parent}, sentence {sid}")
-            if not _known_child(child, seen_ids, len(tokens)):
-                raise ParseError(f"dangling node reference: {child}, sentence {sid}")
-            categories = entry["categories"]
-            if not isinstance(categories, list) or not all(
-                isinstance(c, str) for c in categories
-            ):
-                raise ParseError(f"edge 'categories' must be a list of strings, sentence {sid}")
-            try:
-                label = CategorySet(tuple(categories))
-            except ValueError as exc:
-                raise ParseError(f"{exc}, sentence {sid}") from exc
-            remote = entry.get("remote", False)
-            if not isinstance(remote, bool):
-                raise ParseError(f"edge 'remote' must be true or false, sentence {sid}")
-            try:
-                edge = Edge(parent, child, label, remote)
-            except ValueError as exc:
-                raise ParseError(f"{exc}, sentence {sid}") from exc
-            if not remote:
-                if child in primary_parents:
-                    raise ParseError(f"multiple primary parents: {child}, sentence {sid}")
-                primary_parents[child] = parent
-            edges.append(edge)
 
-        roots = [nid for nid in node_ids if nid not in primary_parents]
-        if not roots:
-            raise ParseError(f"no root candidate, sentence {sid}")
-        if len(roots) > 1:
+def _entries(obj: dict, key: str, sid: str) -> list[dict]:
+    """obj[key], absent meaning empty, checked to be a list of objects."""
+    entries = obj.get(key, [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ParseError(f"'{key}' must be a list of objects, sentence {sid}")
+    return entries
+
+
+def _required(entry: dict, key: str, sid: str) -> str:
+    if key not in entry:
+        raise ParseError(f"missing field '{key}', sentence {sid}")
+    return str(entry[key])
+
+
+def _graph(obj: dict, sid: str) -> UCCAGraph:
+    """The graph of one decoded JSON object; errors name sentence sid."""
+    tokens = []
+    for tok in _entries(obj, "tokens", sid):
+        text = tok.get("text")
+        if not isinstance(text, str) or not text:
+            raise ParseError(f"token 'text' must be a non-empty string, sentence {sid}")
+        punct = tok.get("punct", False)
+        if not isinstance(punct, bool):
+            raise ParseError(f"token 'punct' must be true or false, sentence {sid}")
+        tokens.append(UCCAToken(text, punct))
+    node_ids = []
+    seen_ids: set[str] = set()
+    for node in _entries(obj, "nodes", sid):
+        nid = _required(node, "id", sid)
+        if nid in seen_ids:
+            raise ParseError(f"duplicate node id: {nid}, sentence {sid}")
+        if TERMINAL_REF.match(nid):
             raise ParseError(
-                f"multiple root candidates: {', '.join(roots)}, sentence {sid}"
+                f"node id {nid} collides with terminal references, sentence {sid}"
             )
-        _check_primary_cycles(node_ids, primary_parents, sid)
-        yield UCCAGraph(sid, tuple(tokens), tuple(node_ids), tuple(edges), roots[0])
+        seen_ids.add(nid)
+        node_ids.append(nid)
+
+    edges = []
+    primary_parents: dict[str, str] = {}
+    for entry in _entries(obj, "edges", sid):
+        parent, child = _required(entry, "parent", sid), _required(entry, "child", sid)
+        if parent not in seen_ids:
+            raise ParseError(f"dangling node reference: {parent}, sentence {sid}")
+        if not _known_child(child, seen_ids, len(tokens)):
+            raise ParseError(f"dangling node reference: {child}, sentence {sid}")
+        categories = entry.get("categories")
+        if not isinstance(categories, list) or not all(
+            isinstance(c, str) for c in categories
+        ):
+            raise ParseError(f"edge 'categories' must be a list of strings, sentence {sid}")
+        try:
+            label = CategorySet(tuple(categories))
+        except ValueError as exc:
+            raise ParseError(f"{exc}, sentence {sid}") from exc
+        remote = entry.get("remote", False)
+        if not isinstance(remote, bool):
+            raise ParseError(f"edge 'remote' must be true or false, sentence {sid}")
+        try:
+            edge = Edge(parent, child, label, remote)
+        except ValueError as exc:
+            raise ParseError(f"{exc}, sentence {sid}") from exc
+        if not remote:
+            if child in primary_parents:
+                raise ParseError(f"multiple primary parents: {child}, sentence {sid}")
+            primary_parents[child] = parent
+        edges.append(edge)
+
+    roots = [nid for nid in node_ids if nid not in primary_parents]
+    if not roots:
+        raise ParseError(f"no root candidate, sentence {sid}")
+    if len(roots) > 1:
+        raise ParseError(
+            f"multiple root candidates: {', '.join(roots)}, sentence {sid}"
+        )
+    pos = {nid: i for i, nid in enumerate(node_ids)}
+    if len(top_down([pos.get(primary_parents.get(nid), -1) for nid in node_ids])) < len(pos):
+        raise ParseError(f"primary cycle, sentence {sid}")
+    return UCCAGraph(sid, tuple(tokens), tuple(node_ids), tuple(edges), roots[0])
 
 
 def _known_child(child: str, node_ids: set[str], n_tokens: int) -> bool:
@@ -285,23 +297,6 @@ def _known_child(child: str, node_ids: set[str], n_tokens: int) -> bool:
         return True
     match = TERMINAL_REF.match(child)
     return bool(match) and int(match.group(1)) <= n_tokens
-
-
-def _check_primary_cycles(node_ids, primary_parents, sid):
-    state = dict.fromkeys(node_ids, 0)
-    for start in node_ids:
-        path = []
-        current = start
-        while current in state and state[current] == 0:
-            state[current] = 1
-            path.append(current)
-            current = primary_parents.get(current)
-            if current is None:
-                break
-        if current is not None and state.get(current) == 1:
-            raise ParseError(f"primary cycle, sentence {sid}")
-        for nid in path:
-            state[nid] = 2
 
 
 def write_unified(dags: Iterable[UnifiedDAG]) -> str:
@@ -354,11 +349,11 @@ def read_unified(text: str | Iterable[str]) -> list[UnifiedDAG]:
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON, sentence {counter}: {exc}") from exc
         sid = str(obj.get("id", counter))
-        terminals = tuple(
-            Terminal(i, tok["text"], bool(tok.get("punct", False)))
-            for i, tok in enumerate(obj.get("tokens", ()), 1)
-        )
         try:
+            terminals = tuple(
+                Terminal(i, tok["text"], bool(tok.get("punct", False)))
+                for i, tok in enumerate(obj.get("tokens", ()), 1)
+            )
             nodes = tuple(
                 Node(
                     str(node["id"]),
@@ -379,6 +374,11 @@ def read_unified(text: str | Iterable[str]) -> list[UnifiedDAG]:
             dag = UnifiedDAG(sid, terminals, nodes, edges, str(obj["root"]))
         except (KeyError, ValueError) as exc:
             raise ParseError(f"{exc}, sentence {sid}") from exc
+        problems = validate(dag)
+        if problems:
+            raise ParseError(
+                f"invalid unified DAG: {'; '.join(str(v) for v in problems)}, sentence {sid}"
+            )
         dags.append(dag)
     return dags
 

@@ -11,6 +11,7 @@ sibling position.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 from .model import (
@@ -20,8 +21,10 @@ from .model import (
     CategorySet,
     Edge,
     Node,
+    SentenceUnits,
     Terminal,
     UnifiedDAG,
+    top_down,
 )
 from .treebanks import UDToken, UDTree, base_relation
 
@@ -322,3 +325,68 @@ def convert_extended(
     if promote:
         dag = promote_conjunctions(dag, stripped)
     return dag
+
+
+#: The governor relation under which each conjunction relation is promoted.
+_PROMOTED_UNDER = {"cc": "conj", "mark": "advcl"}
+
+_relation_label = lru_cache(maxsize=1024)(CategorySet.of)
+
+
+def tree_units(tree: UDTree) -> SentenceUnits:
+    """The unit arrays of convert_extended(tree), decided on tokens.
+
+    Unit 0 is the top. Unit t is token t's unit: its non-terminal if it has
+    dependents, else its pre-terminal; unit n+t is the pre-terminal of a
+    token t with dependents. The non-head members of an MWE chain have no
+    unit: their tokens fold into the chain head's pre-terminal, and units
+    they would have held attach to the chain head's unit. A cc (mark) unit
+    whose governor is conj- (advcl-) attached attaches to its governor's
+    parent instead.
+    """
+    tokens = tree.tokens
+    n = len(tokens)
+    heads = [-1]
+    relations = [""]
+    has_dependents = [False] * (n + 1)
+    for tok in tokens:
+        heads.append(tok.head)
+        relations.append(base_relation(tok.deprel))
+        has_dependents[tok.head] = True
+    token_order = top_down(heads)
+    # host[t]: the chain head of t's MWE group, else t itself.
+    host = list(range(n + 1))
+    for t in token_order:
+        if heads[t] > 0 and relations[t] in MWE_RELATIONS:
+            host[t] = host[heads[t]]
+
+    size = 2 * n + 1
+    parent = [-1] * size
+    label: list = [None] * size
+    own = [0] * size
+    order = [0]
+    for t in token_order[1:]:
+        chain_head = host[t]
+        if not tokens[t - 1].is_punct:
+            own[n + chain_head if has_dependents[chain_head] else chain_head] |= 1 << t
+        if chain_head != t:
+            continue
+        governor = heads[t]
+        if governor == 0:
+            parent[t], label[t] = 0, HEAD
+        else:
+            relation = relations[t]
+            # A conj/advcl governor is never a non-head chain member, whose
+            # relation is flat, fixed or goeswith.
+            if relations[governor] == _PROMOTED_UNDER.get(relation):
+                parent[t] = parent[governor]
+            else:
+                parent[t] = host[governor]
+            label[t] = _relation_label(relation)
+        order.append(t)
+        if has_dependents[t]:
+            parent[n + t], label[n + t] = t, HEAD
+            order.append(n + t)
+    forms = [tok.form for tok in tokens]
+    return SentenceUnits(tree.sentence_id, forms, parent, label, own, order, 0)
+

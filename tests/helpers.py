@@ -8,7 +8,9 @@ they stay independent of the code paths they check.
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from pathlib import Path
 
 from synsem.model import (
@@ -23,6 +25,7 @@ from synsem.model import (
 from synsem.treebanks import UCCAGraph, UCCAToken, UDToken, UDTree
 
 FIXTURES = Path(__file__).parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
 
 EXCLUDED = {
     "root", "punct", "dep", "orphan", "fixed", "flat", "goeswith",
@@ -34,6 +37,15 @@ UCCA_CATEGORIES = ["A", "C", "D", "E", "F", "G", "H", "L", "N", "P", "Q", "R", "
 
 def read_fixture(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
+
+
+def load_bench_corpora():
+    """bench/corpora.py, the benchmark's stdlib-only corpus generator."""
+    spec = importlib.util.spec_from_file_location("bench_corpora", ROOT / "bench" / "corpora.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 def make_tree(rows: list[tuple[str, int, str]], sentence_id: str = "test") -> UDTree:

@@ -226,25 +226,72 @@ def test_convert_rejects_malformed_deprel(tmp_path, capsys, deprel, message):
     assert capsys.readouterr().err == f"synsem: error: {message}\n"
 
 
-@pytest.mark.parametrize("item,field,value,message", [
+MISSING = object()
+GRAPH = {
+    "id": "s",
+    "tokens": [{"text": "a"}, {"text": "b", "punct": False}],
+    "nodes": [{"id": "r"}],
+    "edges": [{"parent": "r", "child": "t1", "categories": ["A"]},
+              {"parent": "r", "child": "t2", "categories": ["B"], "remote": False}],
+}
+MISTYPED_GRAPH_FIELDS = [
     ("edges", "categories", "AB", "edge 'categories' must be a list of strings"),
     ("edges", "categories", ["A", 1], "edge 'categories' must be a list of strings"),
+    ("edges", "categories", MISSING, "edge 'categories' must be a list of strings"),
     ("edges", "remote", "no", "edge 'remote' must be true or false"),
+    ("edges", "parent", MISSING, "missing field 'parent'"),
     ("tokens", "punct", 1, "token 'punct' must be true or false"),
-], ids=["categories-string", "categories-int", "remote-string", "punct-int"])
-def test_convert_rejects_mistyped_graph_fields(tmp_path, capsys, item, field, value, message):
-    graph = {
-        "id": "s",
-        "tokens": [{"text": "a"}, {"text": "b", "punct": False}],
-        "nodes": [{"id": "r"}],
-        "edges": [{"parent": "r", "child": "t1", "categories": ["A"]},
-                  {"parent": "r", "child": "t2", "categories": ["B"], "remote": False}],
-    }
-    graph[item][1][field] = value
+    ("tokens", "text", MISSING, "token 'text' must be a non-empty string"),
+    ("tokens", "text", "", "token 'text' must be a non-empty string"),
+    ("tokens", "text", 5, "token 'text' must be a non-empty string"),
+]
+MISTYPED_IDS = ["categories-string", "categories-int", "categories-missing", "remote-string",
+                "parent-missing", "punct-int", "text-missing", "text-empty", "text-int"]
+
+
+def _mistyped_graph(tmp_path, item, field, value):
+    graph = json.loads(json.dumps(GRAPH))
+    if value is MISSING:
+        del graph[item][1][field]
+    else:
+        graph[item][1][field] = value
     bad = tmp_path / "bad.jsonl"
     bad.write_text(json.dumps(graph) + "\n", encoding="utf-8")
-    assert run(["convert", "--ucca", str(bad), "--out", str(tmp_path / "o")]) == 2
+    return str(bad)
+
+
+@pytest.mark.parametrize("item,field,value,message", MISTYPED_GRAPH_FIELDS, ids=MISTYPED_IDS)
+def test_convert_rejects_mistyped_graph_fields(tmp_path, capsys, item, field, value, message):
+    bad = _mistyped_graph(tmp_path, item, field, value)
+    assert run(["convert", "--ucca", bad, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"synsem: error: {message}, sentence s\n"
+
+
+@pytest.mark.parametrize("line,message", [
+    ("[1, 2]", "expected a JSON object, sentence 1"),
+    ('{"id": "s", "tokens": ["a"]}', "'tokens' must be a list of objects, sentence s"),
+    ('{"id": "s", "nodes": 5}', "'nodes' must be a list of objects, sentence s"),
+    ('{"id": "s", "nodes": [{"id": "r"}], "edges": [{"parent": "r"}]}',
+     "missing field 'child', sentence s"),
+], ids=["array", "token-string", "nodes-int", "child-missing"])
+def test_convert_rejects_malformed_graph_line(tmp_path, capsys, line, message):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(line + "\n", encoding="utf-8")
+    assert run(["convert", "--ucca", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"synsem: error: {message}\n"
+
+
+def test_confusion_rejects_empty_token_text_like_convert(tmp_path, capsys):
+    # The fold builds no Terminal, so the reader's check is the only one.
+    bad = _mistyped_graph(tmp_path, "tokens", "text", "")
+    ud = tmp_path / "ud.conllu"
+    ud.write_text("1\ta\t_\t_\t_\t_\t0\troot\t_\t_\n"
+                  "2\tb\t_\t_\t_\t_\t1\tobj\t_\t_\n", encoding="utf-8")
+    argv = ["confusion", "--ud", str(ud), "--ucca", bad, "--out", str(tmp_path / "o")]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        "synsem: error: token 'text' must be a non-empty string, sentence s\n"
+    )
 
 
 def test_pair_by_id_reorders(tmp_path):

@@ -172,6 +172,21 @@ def test_validate_reports_multiple_primary_parents():
     assert "multiple-primary-parent" in codes
 
 
+def test_validate_reports_duplicate_primary_and_remote_edges():
+    nodes = (Node("r", NON_TERMINAL), Node("a", NON_TERMINAL), Node("t1", PRE_TERMINAL, (1,)))
+    h, r = CategorySet.of("H"), CategorySet.of("R")
+    edges = (
+        Edge("r", "a", h), Edge("a", "t1", h), Edge("r", "t1", r, remote=True),
+        Edge("a", "t1", h), Edge("r", "t1", r, remote=True), Edge("r", "t1", h, remote=True),
+    )
+    dag = UnifiedDAG("dup", (Terminal(1, "w"),), nodes, edges, "r")
+    assert [str(v) for v in validate(dag)] == [
+        "duplicate-edge: a -> t1",
+        "duplicate-edge: r -> t1",
+        "multiple-primary-parent: t1 <- ['a', 'a']",
+    ]
+
+
 def test_validate_reports_dag_cycle_through_remote():
     terminals = (Terminal(1, "w"),)
     nodes = (

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from synsem.model import CategorySet, Edge, StructureError, UnifiedDAG
@@ -292,3 +294,20 @@ def test_pair_sentences_duplicate_id_in_first_corpus():
     trees = parse_conllu(read_fixture("mini_ud.conllu"))
     with pytest.raises(ParseError, match="duplicate sentence id: after-graduation"):
         list(SentencePairs([trees[0], trees[0]], graphs[:2], by="id"))
+
+
+def test_read_unified_refuses_broken_dag():
+    # The cyclic DAG that write_unified refuses, written out by hand.
+    line = json.dumps({
+        "id": "cyc",
+        "tokens": [{"text": "w", "punct": False}],
+        "nodes": [{"id": "r", "kind": "non-terminal"}, {"id": "a", "kind": "non-terminal"},
+                  {"id": "b", "kind": "non-terminal"},
+                  {"id": "t1", "kind": "terminal-wrapper", "terminals": [1]}],
+        "edges": [{"parent": "r", "child": "t1", "categories": ["H"], "remote": False},
+                  {"parent": "a", "child": "b", "categories": ["H"], "remote": False},
+                  {"parent": "b", "child": "a", "categories": ["H"], "remote": False}],
+        "root": "r",
+    })
+    with pytest.raises(ParseError, match=r"^invalid unified DAG: primary-cycle: .*, sentence cyc$"):
+        read_unified(line + "\n")
